@@ -103,6 +103,7 @@ def cmd_count(args) -> int:
     print(result.count)
     print(f"nodes {result.nodes_visited}")
     print(f"method {result.method}")
+    print(f"memo_states {result.memo_states}")
     return 0
 
 

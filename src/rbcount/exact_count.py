@@ -5,9 +5,11 @@ threshold test count**divisor >= d**n is pure integer arithmetic - no float
 ever touches a decision.
 
 Two counters are provided.  ``count_brute`` enumerates the full assignment
-space and is meant as a cross-checking oracle; ``count_backtrack`` explores
-a pruned search tree in a static variable order and is the one to use for
-anything beyond toy sizes.
+space and is the cross-checking oracle.  ``count_backtrack`` is the one to
+use for anything beyond toy sizes: a forward-checking search in a static
+variable order that caches the number of completions of each search state,
+keyed on the domains of the variables still in play (the component-caching
+idea of #SAT solvers such as Cachet and sharpSAT).
 """
 
 from __future__ import annotations
@@ -19,9 +21,6 @@ from .rb_model import Instance
 
 DEFAULT_BRUTE_CAP = 10 ** 8
 
-# Bitmask popcount lookup is worthwhile only while the table stays small.
-_POP_TABLE_MAX_D = 16
-
 
 class CapExceeded(RuntimeError):
     """The assignment space is larger than the configured enumeration cap."""
@@ -29,9 +28,14 @@ class CapExceeded(RuntimeError):
 
 @dataclass(frozen=True)
 class CountResult:
+    """A count and what it took: nodes_visited is the assignments enumerated
+    (brute) or the value assignments tried plus one for the root
+    (backtrack); memo_states is the number of cached search states."""
+
     count: int
     nodes_visited: int
     method: str  # "brute" | "backtrack" | "external"
+    memo_states: int = 0
 
 
 @dataclass(frozen=True)
@@ -45,7 +49,7 @@ def count_brute(instance: Instance, cap: int = DEFAULT_BRUTE_CAP) -> CountResult
     """Count solutions by enumerating all d^n assignments.
 
     Raises CapExceeded when d^n > cap.  Deliberately unclever so it can
-    serve as an independent oracle for the backtracking counter.
+    serve as an independent oracle for count_backtrack.
     """
     n, d = instance.n, instance.d
     space = d ** n
@@ -71,166 +75,125 @@ def _static_order(instance: Instance) -> list[int]:
     return sorted(range(instance.n), key=lambda v: (-deg[v], v))
 
 
-def _compile_checks(instance: Instance, depth_of: list[int], d: int):
-    """Index constraints by the search depth at which their scope completes.
-
-    Binary constraints become per-source-value bitmask rows over the later
-    variable's values (rows for the same source variable are pre-merged);
-    wider constraints become dicts from the earlier values, in scope order,
-    to a forbidden-value mask for the latest variable.
-    """
-    n = instance.n
-    full = (1 << d) - 1
-    pair_rows: list[dict[int, list[int]]] = [dict() for _ in range(n)]
-    tuple_checks: list[list] = [[] for _ in range(n)]
-    last_depth = -1
-    for c in instance.constraints:
-        depths = [depth_of[v] for v in c.scope]
-        j = max(depths)
-        if j > last_depth:
-            last_depth = j
-        if len(c.scope) == 2:
-            src = min(depths)
-            s_pos, t_pos = (0, 1) if depths[0] < depths[1] else (1, 0)
-            rows = pair_rows[j].get(src)
-            if rows is None:
-                rows = [full] * d
-                pair_rows[j][src] = rows
-            for ng in c.nogoods:
-                rows[ng[s_pos]] &= ~(1 << ng[t_pos])
-        else:
-            k = len(c.scope)
-            last_i = max(range(k), key=lambda i: depths[i])
-            other_is = [i for i in range(k) if i != last_i]
-            src_depths = tuple(depths[i] for i in other_is)
-            forbid: dict[tuple[int, ...], int] = {}
-            for ng in c.nogoods:
-                key = tuple(ng[i] for i in other_is)
-                forbid[key] = forbid.get(key, 0) | (1 << ng[last_i])
-            tuple_checks[j].append((src_depths, forbid))
-    pairs = [tuple(sorted(row_map.items())) for row_map in pair_rows]
-    checks = [tuple(t) for t in tuple_checks]
-    return pairs, checks, last_depth
-
-
 def count_backtrack(instance: Instance) -> CountResult:
-    """Count solutions by depth-first search in a static variable order.
+    """Count solutions by memoised forward-checking search.
 
-    Variables are ordered by descending constraint degree (ties by index);
-    each constraint is enforced at the depth where its scope completes, as a
-    bitmask over the values of the variable assigned there.  Once every
-    constraint is resolved the remaining variables are free, contributing a
-    d^(#unassigned) factor instead of further descent; for the same reason
-    the deepest constrained level is tallied by popcount rather than visited
-    value by value, and nodes_visited counts only explicit descents.
+    Variables are assigned in a static order (descending constraint degree,
+    ties by index).  The search state is one int holding every variable's
+    domain as a d-bit field, one field per depth; an assigned variable's
+    field is the one-hot bit of its value.  A constraint fires at the
+    second-deepest depth of its scope and prunes the deepest variable's
+    field: a binary one through a precomputed AND-mask per (depth, value),
+    a wider one through a dict keyed on the assigned fields of its other
+    variables.  A branch ends as soon as any field is empty.
+
+    A variable whose neighbours are all assigned is never branched on: its
+    field can no longer change, so it contributes its popcount as a factor.
+    After a prefix of the order is assigned, the number of completions then
+    depends only on the live fields (unassigned variables with an unassigned
+    neighbour) and, for arity >= 3, on the assigned values of constraints
+    that still have two or more unassigned variables.  Each branching depth
+    caches counts under that key, as #SAT component caching does.
+
+    nodes_visited is the number of value assignments tried plus one for the
+    root; memo_states is the number of cached entries.  Scopes must have
+    arity >= 2.
     """
     n, d = instance.n, instance.d
-    if not instance.constraints:
-        return CountResult(count=d ** n, nodes_visited=1, method="backtrack")
-
     order = _static_order(instance)
     depth_of = [0] * n
     for j, v in enumerate(order):
         depth_of[v] = j
-    pair_rows, tuple_checks, last_depth = _compile_checks(instance, depth_of, d)
-
     full = (1 << d) - 1
-    pw = [d ** i for i in range(n + 1)]
-    count = 0
+    ones = (1 << n * d) - 1
+    # The lowest and highest bit of every field: (s - low) & ~s & high is
+    # nonzero exactly when some field of s is empty.
+    low = sum(1 << j * d for j in range(n))
+    high = low << (d - 1)
+
+    # keep[j][v]: the AND-mask for giving depth j the value v, which narrows
+    # field j to one bit and applies every binary constraint firing at j.
+    keep = [[ones & ~(full << j * d) | 1 << (j * d + v) for v in range(d)]
+            for j in range(n)]
+    tables: list[list[tuple[int, dict[int, int]]]] = [[] for _ in range(n)]
+    last_nb = [-1] * n  # deepest neighbour of each depth
+    key_mask = [0] * n
+    for c in instance.constraints:
+        depths = [depth_of[v] for v in c.scope]
+        *src, tgt = sorted(range(len(depths)), key=depths.__getitem__)
+        fire, last = depths[src[-1]], depths[tgt]
+        for x in depths:
+            last_nb[x] = max(last_nb[x], fire if x == last else last)
+        if len(src) == 1:
+            banned = [0] * d
+            for ng in c.nogoods:
+                banned[ng[src[0]]] |= 1 << ng[tgt]
+            row = keep[fire]
+            for v, b in enumerate(banned):
+                row[v] &= ~(b << last * d)
+            continue
+        proj = 0
+        for i in src:
+            proj |= full << depths[i] * d
+        table: dict[int, int] = {}
+        for ng in c.nogoods:
+            key = 0
+            for i in src:
+                key |= 1 << (depths[i] * d + ng[i])
+            table[key] = table.get(key, ones) & ~(1 << (last * d + ng[tgt]))
+        tables[fire].append((proj, table))
+        # Until it fires, its assigned values steer later pruning.
+        for i in src:
+            for j in range(depths[i] + 1, fire + 1):
+                key_mask[j] |= full << depths[i] * d
+
+    branching = [j for j in range(n) if last_nb[j] > j]
+    finals: list[list[int]] = [[] for _ in range(n)]
+    for t in range(n):
+        # Field t is final once its deepest neighbour is assigned, and it is
+        # in the key while t is unassigned and has an unassigned neighbour.
+        if 0 <= last_nb[t] < t:
+            finals[last_nb[t]].append(t * d)
+        for j in range(min(t, last_nb[t]) + 1):
+            key_mask[j] |= full << t * d
+    after = dict(zip(branching, branching[1:] + [n]))
+    memos: list[dict[int, int]] = [{} for _ in range(n)]
     nodes = 1
 
-    # Fold the two deepest levels into one sum when the final level carries
-    # only binary constraints: with x the second-deepest variable and y the
-    # deepest, sum over allowed x-values the popcount of y's mask.
-    two_level = last_depth == n - 1 and n >= 2 and not tuple_checks[n - 1]
-    rows_last = None
-    base_pairs = pair_rows[n - 1] if last_depth == n - 1 else ()
-    spec_depth = -1
-    if two_level:
-        spec_depth = n - 2
-        others = []
-        for src, rows in base_pairs:
-            if src == n - 2:
-                rows_last = rows
-            else:
-                others.append((src, rows))
-        base_pairs = tuple(others)
-    pop = None
-    if two_level and d <= _POP_TABLE_MAX_D:
-        pop = [bin(x).count("1") for x in range(1 << d)]
-
-    vals = [0] * n
-    pending = [0] * n
-
-    def enter(j: int) -> int:
-        # Allowed-value mask for the variable at depth j given vals[:j].
-        m = full
-        for src, rows in pair_rows[j]:
-            m &= rows[vals[src]]
-            if not m:
-                return 0
-        for src_depths, forbid in tuple_checks[j]:
-            f = forbid.get(tuple(vals[t] for t in src_depths))
-            if f:
-                m &= ~f
-                if not m:
-                    return 0
-        return m
-
-    def two_level_sum() -> int:
-        xm = enter(n - 2)
-        if not xm:
-            return 0
-        base = full
-        for src, rows in base_pairs:
-            base &= rows[vals[src]]
-            if not base:
-                return 0
-        if rows_last is None:
-            return xm.bit_count() * base.bit_count()
+    def rec(j: int, state: int) -> int:
+        nonlocal nodes
+        memo = memos[j]
+        key = state & key_mask[j]
+        total = memo.get(key)
+        if total is not None:
+            return total
         total = 0
-        if pop is not None:
-            while xm:
-                bit = xm & -xm
-                xm ^= bit
-                total += pop[base & rows_last[bit.bit_length() - 1]]
-        else:
-            while xm:
-                bit = xm & -xm
-                xm ^= bit
-                total += (base & rows_last[bit.bit_length() - 1]).bit_count()
+        row, checks, fin, nxt = keep[j], tables[j], finals[j], after[j]
+        field = state >> j * d & full
+        nodes += field.bit_count()
+        while field:
+            bit = field & -field
+            field ^= bit
+            s = state & row[bit.bit_length() - 1]
+            for proj, table in checks:
+                s &= table.get(s & proj, ones)
+            if (s - low) & ~s & high:
+                continue
+            ways = 1
+            for shift in fin:
+                ways *= (s >> shift & full).bit_count()
+            total += ways * rec(nxt, s) if nxt < n else ways
+        memo[key] = total
         return total
 
-    if spec_depth == 0:
-        return CountResult(count=two_level_sum(), nodes_visited=1, method="backtrack")
-
-    pending[0] = full  # arity >= 2 means no constraint can resolve at depth 0
-    j = 0
-    last = n - 1
-    while j >= 0:
-        m = pending[j]
-        if not m:
-            j -= 1
-            continue
-        bit = m & -m
-        pending[j] = m ^ bit
-        vals[j] = bit.bit_length() - 1
-        nodes += 1
-        nxt = j + 1
-        if nxt > last_depth:
-            count += pw[n - nxt]
-            continue
-        if nxt == spec_depth:
-            count += two_level_sum()
-            continue
-        if nxt == last:
-            count += enter(last).bit_count()
-            continue
-        mask = enter(nxt)
-        if mask:
-            j = nxt
-            pending[j] = mask
-    return CountResult(count=count, nodes_visited=nodes, method="backtrack")
+    isolated = last_nb.count(-1)
+    count = d ** isolated * rec(branching[0], ones) if branching else d ** n
+    states = sum(map(len, memos))
+    # rec reaches itself through its closure; dropping the name breaks that
+    # cycle, so the memo tables are freed now, not at the next cyclic GC.
+    del rec
+    return CountResult(count=count, nodes_visited=nodes, method="backtrack",
+                       memo_states=states)
 
 
 def decide_at_least(instance: Instance, divisor: int = 2, *,

@@ -43,6 +43,9 @@ class SweepConfig:
     brute_cap: int = 10 ** 8
     jobs: int = 1
 
+    def __post_init__(self):
+        _check_instances(self.instances_per_point)
+
 
 @dataclass(frozen=True)
 class SweepRow:
@@ -72,6 +75,11 @@ def grid_values(start: float, stop: float, step: float) -> list[float]:
         raise ValueError("grid stop must be >= start")
     npts = int(math.floor((stop - start) / step + 1e-9)) + 1
     return [round(start + i * step, 12) for i in range(npts)]
+
+
+def _check_instances(instances: int) -> None:
+    if instances < 1:
+        raise ValueError(f"instances per point must be >= 1, got {instances}")
 
 
 def instance_seed(base_seed: int, point_index: int, instance_index: int) -> int:
@@ -273,6 +281,7 @@ def estimator_comparison(points: Iterable[PointSpec], *, instances: int = 300,
 def _exact_counts(point: PointSpec, point_index: int, instances: int,
                   base_seed: int, method: str, brute_cap: int,
                   jobs: int) -> list[int]:
+    _check_instances(instances)
     tasks = [
         (point.k, point.n, point.alpha, point.r, point.p,
          instance_seed(base_seed, point_index, ii), method, brute_cap)

@@ -52,8 +52,11 @@ def test_count_tiny_instance(capsys):
     assert code == 0
     lines = out.splitlines()
     assert lines[0] == "3"
-    assert lines[1] == "nodes 1"  # both variables resolve in the bottom fold
+    # the root plus both values of variable 0; variable 1 is never branched
+    # on, since its only neighbour is assigned, and counts by popcount
+    assert lines[1] == "nodes 3"
     assert lines[2] == "method backtrack"
+    assert lines[3] == "memo_states 1"  # the one root state
 
 
 def test_count_brute_method(capsys):
@@ -164,6 +167,19 @@ def test_compare_csv(capsys):
                         "-p", "0.2", "--instances", "10"], capsys)
     assert code == 0
     assert out.splitlines()[0].startswith("k,n,alpha,r,p,p_eff,instances,")
+
+
+@pytest.mark.parametrize("command", [
+    ["sweep", "--start", "0.1", "--stop", "0.5", "--step", "0.2"],
+    ["accuracy", "-p", "0.2"],
+    ["compare", "-p", "0.2"],
+])
+def test_zero_instances_exit_2(command, capsys):
+    code, _, err = run(command + ["-k", "2", "-n", "5", "-a", "0.8", "-r", "1.5",
+                                  "--instances", "0"], capsys)
+    assert code == 2
+    assert err.splitlines() == ["rbcount: error: instances per point must be "
+                                ">= 1, got 0"]
 
 
 def test_usage_errors_exit_1(capsys):

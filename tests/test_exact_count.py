@@ -8,6 +8,7 @@ import random
 
 import pytest
 
+from rbcount.cnf_encode import count_models, encode_direct
 from rbcount.exact_count import (CapExceeded, count_backtrack, count_brute,
                                  decide_at_least, decide_from_count)
 from rbcount.rb_model import Constraint, Instance, RbParams, generate
@@ -131,6 +132,39 @@ def test_backtrack_matches_brute_on_random_instances():
         rb = count_brute(inst)
         rk = count_backtrack(inst)
         assert rb.count == rk.count, f"trial {trial}: {rb.count} != {rk.count}"
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_counters_agree_with_oracle_and_cnf_model_count(k):
+    # Every tenth instance has no constraints and every tenth another one
+    # forbids every tuple of its scope; every third leaves a variable isolated.
+    rng = random.Random(1000 + k)
+    for trial in range(100):
+        n = rng.randint(k + 1, 6)
+        d = rng.randint(2, min(4, 24 // n))  # the CNF counter needs n*d <= 24
+        linked = n - 1 if trial % 3 == 0 else n
+        tuples = list(itertools.product(range(d), repeat=k))
+        constraints = []
+        for _ in range(0 if trial % 10 == 0 else rng.randint(1, 6)):
+            scope = sorted(rng.sample(range(linked), k))
+            constraints.append((scope, rng.sample(tuples, rng.randint(0, len(tuples)))))
+        if trial % 10 == 5:
+            constraints.append((sorted(rng.sample(range(linked), k)), tuples))
+        inst = build(n, d, constraints)
+        expect = count_brute(inst).count
+        assert count_backtrack(inst).count == expect, f"trial {trial}"
+        assert count_models(encode_direct(inst)) == expect, f"trial {trial}"
+
+
+def test_memo_key_keeps_values_of_unfired_wide_constraints():
+    # The order is 0, 1, 2, 3, 4.  (0, 3, 4) prunes only once variable 3 is
+    # assigned, so until then the memo key must carry variable 0's value.
+    # Variable 3 is reached four times and stores two states (two memo hits):
+    # without those hits it would store four and nodes would be 15.
+    inst = build(5, 2, [((0, 3, 4), [(1, 0, 1)]), ((0, 1, 2), [(1, 1, 1)])])
+    res = count_backtrack(inst)
+    assert res.count == count_brute(inst).count == 25
+    assert (res.nodes_visited, res.memo_states) == (11, 5)
 
 
 def test_adding_constraints_never_raises_count():
