@@ -9,15 +9,15 @@ __version__ = "0.1.0"
 
 from .cnf_encode import Cnf, DimacsError, count_models, encode_direct, read_dimacs, write_dimacs
 from .exact_count import (CapExceeded, CountResult, Decision, count_backtrack,
-                          count_brute, decide_at_least, decide_from_count)
+                          count_brute, decide_from_count)
 from .experiments import (AccuracyRow, ComparisonRow, PointSpec, SweepConfig,
-                          SweepRow, accuracy_table, crossing_point, emit_csv,
-                          emit_svg_plot, estimator_comparison, sweep_tightness,
-                          write_manifest)
+                          SweepRow, accuracy_table, count_batch, count_instance,
+                          critical_value, crossing_point, emit_csv, emit_svg_plot,
+                          estimator_comparison, sweep_tightness, write_manifest)
 from .rb_model import (ApplicabilityReport, Assignment, Constraint, DerivedSizes,
-                       Instance, InstanceFormatError, ModelBCheck, RbParams,
-                       derive_sizes, effective_tightness, generate, read_instance,
-                       theorem_applicability, validate_model_b, write_instance)
+                       Instance, InstanceFormatError, RbParams, derive_sizes,
+                       effective_tightness, generate, read_instance,
+                       theorem_applicability, write_instance)
 from .theory import (Estimate, ExpectedCount, PairProbabilities, SimilarityStats,
                      Threshold, ae_count, conditional_expected_count,
                      critical_density, critical_tightness, expected_count,

@@ -15,14 +15,14 @@ from typing import TextIO
 
 from . import __version__
 from .cnf_encode import DimacsError, encode_direct, write_dimacs
-from .exact_count import (CapExceeded, DEFAULT_BRUTE_CAP, count_backtrack,
-                          count_brute, decide_from_count)
-from .experiments import (PointSpec, SweepConfig, accuracy_table, crossing_point,
-                          emit_accuracy_csv, emit_comparison_csv, emit_csv,
-                          emit_svg_plot, estimator_comparison, sweep_manifest,
+from .exact_count import CapExceeded, DEFAULT_BRUTE_CAP, decide_from_count
+from .experiments import (COMPARISON_HEADER, PointSpec, SweepConfig, accuracy_header,
+                          accuracy_table, count_instance, critical_value,
+                          crossing_point, emit_csv, emit_svg_plot,
+                          estimator_comparison, sweep_header, sweep_manifest,
                           sweep_tightness, write_manifest)
-from .rb_model import (InstanceFormatError, RbParams, derive_sizes, generate,
-                       read_instance, theorem_applicability, write_instance)
+from .rb_model import (InstanceFormatError, RbParams, derive_sizes, effective_tightness,
+                       generate, read_instance, theorem_applicability, write_instance)
 from .theory import (ae_count, critical_density, critical_tightness)
 
 
@@ -78,12 +78,6 @@ def _count_args(sub: argparse.ArgumentParser) -> None:
                      help="assignment-space cap for --method brute")
 
 
-def _run_count(instance, args):
-    if args.method == "brute":
-        return count_brute(instance, cap=args.cap)
-    return count_backtrack(instance)
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -99,7 +93,7 @@ def cmd_gen(args) -> int:
 def cmd_count(args) -> int:
     with _open_in(args.instance) as fp:
         instance = read_instance(fp)
-    result = _run_count(instance, args)
+    result = count_instance(instance, args.method, args.cap)
     print(result.count)
     print(f"nodes {result.nodes_visited}")
     print(f"method {result.method}")
@@ -110,7 +104,7 @@ def cmd_count(args) -> int:
 def cmd_decide(args) -> int:
     with _open_in(args.instance) as fp:
         instance = read_instance(fp)
-    result = _run_count(instance, args)
+    result = count_instance(instance, args.method, args.cap)
     decision = decide_from_count(result, instance.d, instance.n, args.divisor)
     print("YES" if decision.answer else "NO")
     print(f"count {result.count}")
@@ -123,7 +117,7 @@ def cmd_decide(args) -> int:
 def cmd_estimate(args) -> int:
     params = _params(args)
     sizes = derive_sizes(params)
-    p_eff = sizes.t_nogoods / sizes.d ** params.k
+    p_eff = effective_tightness(params)
     est = ae_count(params, args.delta, args.divisor, critical_band=args.band)
     report = theorem_applicability(params, args.divisor)
     print(f"d {sizes.d}")
@@ -180,21 +174,21 @@ def cmd_sweep(args) -> int:
         print(f"{config.vary}={row.p:.4f} p_eff={row.p_eff:.4f} "
               f"yes={row.yes_fraction:.2f} wall_ms={row.wall_ms:.0f}",
               file=sys.stderr)
+        if row.cap_exceeded:
+            print(f"rbcount: warning: {row.cap_exceeded} instances exceeded --cap "
+                  "and count as NO", file=sys.stderr)
 
     rows = sweep_tightness(config, progress=progress)
     with _open_out(args.output) as fp:
-        emit_csv(rows, fp)
+        emit_csv(sweep_header(config.vary), rows, fp)
     cross = crossing_point(rows)
     if cross is not None:
         print(f"crossing {cross!r}", file=sys.stderr)
     if args.svg is not None:
-        marker = None
-        if config.vary == "p":
-            marker = critical_tightness(config.alpha, config.r, config.divisor)
         title = (f"k={config.k} n={config.n} alpha={config.alpha} "
                  f"{'r=' + str(config.r) if config.vary == 'p' else 'p=' + str(config.p)}")
         with _open_out(args.svg) as fp:
-            emit_svg_plot(rows, fp, marker=marker, title=title)
+            emit_svg_plot(rows, fp, marker=critical_value(config), title=title)
     if args.manifest is not None:
         with _open_out(args.manifest) as fp:
             write_manifest(sweep_manifest(config), fp)
@@ -218,7 +212,7 @@ def cmd_accuracy(args) -> int:
                           base_seed=args.seed, method=args.method,
                           brute_cap=args.cap, jobs=args.jobs)
     with _open_out(args.output) as fp:
-        emit_accuracy_csv(rows, deltas, fp)
+        emit_csv(accuracy_header(deltas), rows, fp)
     return 0
 
 
@@ -228,7 +222,7 @@ def cmd_compare(args) -> int:
                                 base_seed=args.seed, method=args.method,
                                 brute_cap=args.cap, jobs=args.jobs)
     with _open_out(args.output) as fp:
-        emit_comparison_csv(rows, fp)
+        emit_csv(COMPARISON_HEADER, rows, fp)
     return 0
 
 

@@ -196,19 +196,6 @@ def count_backtrack(instance: Instance) -> CountResult:
                        memo_states=states)
 
 
-def decide_at_least(instance: Instance, divisor: int = 2, *,
-                    method: str = "backtrack",
-                    cap: int = DEFAULT_BRUTE_CAP) -> Decision:
-    """Decide whether the instance has at least d^(n/divisor) solutions."""
-    if method == "backtrack":
-        result = count_backtrack(instance)
-    elif method == "brute":
-        result = count_brute(instance, cap=cap)
-    else:
-        raise ValueError(f"unknown counting method {method!r}")
-    return decide_from_count(result, instance.d, instance.n, divisor)
-
-
 def decide_from_count(count: CountResult | int, d: int, n: int,
                       divisor: int = 2) -> Decision:
     """Threshold decision for an already-computed count (exact integers only)."""

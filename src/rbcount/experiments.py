@@ -1,25 +1,33 @@
 """Grid experiments over the random instance family.
 
-Sweeps count every generated instance exactly and report, per grid point,
-the fraction meeting the count threshold alongside count statistics.  Seeds
-for instance (point, index) pairs are derived with the same 64-bit mix the
-generator uses, so results are reproducible and independent of worker count.
+Sweeps over p or r, and tables of exact counts against the closed-form mean
+at fixed points, share one pipeline: ``count_batch`` generates and counts
+each point's seeded batch (in one process pool per run for ``jobs`` > 1)
+and ``emit_csv`` writes the dataclass rows.  Seeds for instance (point,
+index) pairs are derived with the same 64-bit mix the generator uses, so
+results are reproducible and independent of worker count.
 """
 
 from __future__ import annotations
 
 import concurrent.futures
+import contextlib
+import dataclasses
+import functools
 import math
 import sys
 import time
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence, TextIO
 
-from .exact_count import CapExceeded, count_backtrack, count_brute, decide_from_count
-from .rb_model import RbParams, derive_sizes, generate, mix64
-from .theory import critical_tightness, expected_count
+from .exact_count import (CapExceeded, CountResult, count_backtrack, count_brute,
+                          decide_from_count)
+from .rb_model import (Instance, RbParams, derive_sizes, effective_tightness, generate,
+                       mix64)
+from .theory import critical_density, critical_tightness, expected_count
 
-CSV_HEADER = "p,p_eff,yes_fraction,mean_count_log,median_count_log,mean_nodes,wall_ms"
+CSV_HEADER = ("p,p_eff,yes_fraction,mean_count_log,median_count_log,mean_nodes,"
+              "wall_ms,cap_exceeded")
 
 
 @dataclass(frozen=True)
@@ -49,7 +57,7 @@ class SweepConfig:
 
 @dataclass(frozen=True)
 class SweepRow:
-    """Aggregates for one grid point.
+    """Aggregates for one grid point; p is its value on the swept axis (p or r).
 
     Count statistics are natural logs (-inf when the statistic is zero);
     wall_ms is measurement noise and excluded from reproducibility claims.
@@ -65,6 +73,11 @@ class SweepRow:
     mean_nodes: float
     wall_ms: float
     cap_exceeded: int = 0
+
+
+def sweep_header(vary: str) -> list[str]:
+    """Sweep CSV columns, the first named after the swept axis."""
+    return [vary] + CSV_HEADER.split(",")[1:]
 
 
 def grid_values(start: float, stop: float, step: float) -> list[float]:
@@ -95,18 +108,49 @@ def _point_params(config: SweepConfig, value: float) -> RbParams:
     raise ValueError(f"vary must be 'p' or 'r', got {config.vary!r}")
 
 
-def _count_task(task):
-    k, n, alpha, r, p, seed, method, cap = task
-    params = RbParams(k, n, alpha, r, p, seed)
-    instance = generate(params)
+def critical_value(config: SweepConfig) -> float:
+    """The critical point on the swept axis: the critical tightness at the fixed
+    r, or the critical density at the fixed p's effective tightness."""
+    if config.vary == "p":
+        return critical_tightness(config.alpha, config.r, config.divisor)
+    p_eff = effective_tightness(_point_params(config, config.grid_start))
+    return critical_density(config.alpha, p_eff, config.divisor)
+
+
+def count_instance(instance: Instance, method: str, cap: int) -> CountResult:
+    """Count solutions by "backtrack", or by "brute" over at most cap assignments."""
+    if method == "backtrack":
+        return count_backtrack(instance)
+    if method == "brute":
+        return count_brute(instance, cap=cap)
+    raise ValueError(f"unknown counting method {method!r}")
+
+
+def _generate_and_count(params: RbParams, method: str, cap: int) -> CountResult | None:
     try:
-        if method == "brute":
-            res = count_brute(instance, cap=cap)
-        else:
-            res = count_backtrack(instance)
+        return count_instance(generate(params), method, cap)
     except CapExceeded:
         return None
-    return res.count, res.nodes_visited
+
+
+def count_batch(batch: Iterable[RbParams], method: str, cap: int,
+                pool: concurrent.futures.Executor | None = None) -> list[CountResult | None]:
+    """Generate and count each seeded parameter set, in order, in this process
+    or on ``pool``; None marks an instance beyond the brute-force cap."""
+    task = functools.partial(_generate_and_count, method=method, cap=cap)
+    return list(map(task, batch) if pool is None else pool.map(task, batch, chunksize=4))
+
+
+def _pool(jobs: int) -> contextlib.AbstractContextManager:
+    """One process pool for a whole sweep or table; for one job, None in its place."""
+    return (concurrent.futures.ProcessPoolExecutor(max_workers=jobs) if jobs > 1
+            else contextlib.nullcontext())
+
+
+def _point_batch(base: RbParams, base_seed: int, point_index: int,
+                 instances: int) -> list[RbParams]:
+    return [dataclasses.replace(base, seed=instance_seed(base_seed, point_index, ii))
+            for ii in range(instances)]
 
 
 def _log_of_int(x: int) -> float:
@@ -135,51 +179,32 @@ def sweep_tightness(config: SweepConfig,
     give identical rows (wall_ms aside).
     """
     values = grid_values(config.grid_start, config.grid_stop, config.grid_step)
-    if config.method not in ("backtrack", "brute"):
-        raise ValueError(f"unknown counting method {config.method!r}")
-    executor = None
-    if config.jobs > 1:
-        executor = concurrent.futures.ProcessPoolExecutor(max_workers=config.jobs)
     rows = []
-    try:
+    with _pool(config.jobs) as pool:
         for gi, value in enumerate(values):
             base = _point_params(config, value)
-            sizes = derive_sizes(base)
-            p_eff = sizes.t_nogoods / sizes.d ** config.k
-            tasks = [
-                (base.k, base.n, base.alpha, base.r, base.p,
-                 instance_seed(config.base_seed, gi, ii), config.method,
-                 config.brute_cap)
-                for ii in range(config.instances_per_point)
-            ]
+            batch = _point_batch(base, config.base_seed, gi, config.instances_per_point)
             started = time.perf_counter()
-            if executor is None:
-                results = [_count_task(t) for t in tasks]
-            else:
-                results = list(executor.map(_count_task, tasks, chunksize=4))
+            results = count_batch(batch, config.method, config.brute_cap, pool)
             wall_ms = (time.perf_counter() - started) * 1000.0
-            skipped = sum(1 for res in results if res is None)
-            counts = [res[0] for res in results if res is not None]
-            nodes = [res[1] for res in results if res is not None]
-            yes = sum(
-                1 for c in counts
-                if decide_from_count(c, sizes.d, config.n, config.divisor).answer)
+            done = [res for res in results if res is not None]
+            counts = [res.count for res in done]
+            d = derive_sizes(base).d
+            yes = sum(1 for res in done
+                      if decide_from_count(res, d, config.n, config.divisor).answer)
             row = SweepRow(
                 p=value,
-                p_eff=p_eff,
+                p_eff=effective_tightness(base),
                 yes_fraction=yes / config.instances_per_point,
-                mean_count_log=_log_mean(counts) if counts else -math.inf,
+                mean_count_log=_log_mean(counts),
                 median_count_log=_log_median(counts) if counts else -math.inf,
-                mean_nodes=sum(nodes) / len(nodes) if nodes else 0.0,
+                mean_nodes=sum(res.nodes_visited for res in done) / len(done) if done else 0.0,
                 wall_ms=wall_ms,
-                cap_exceeded=skipped,
+                cap_exceeded=len(results) - len(done),
             )
             rows.append(row)
             if progress is not None:
                 progress(row)
-    finally:
-        if executor is not None:
-            executor.shutdown()
     return rows
 
 
@@ -210,12 +235,40 @@ class PointSpec:
     p: float
 
 
+TABLE_HEADER = ("k", "n", "alpha", "r", "p", "p_eff", "instances")
+COMPARISON_HEADER = TABLE_HEADER + ("mean_count", "mean_count_log", "expected", "log_expected")
+
+
+def accuracy_header(deltas: Sequence[float]) -> tuple[str, ...]:
+    return TABLE_HEADER + tuple(f"coverage_delta_{_fmt(d)}" for d in deltas)
+
+
+def _table_points(points: Iterable[PointSpec], instances: int, base_seed: int,
+                  method: str, brute_cap: int, jobs: int) -> list[tuple]:
+    """(point, p_eff, closed-form ExpectedCount at p_eff, exact counts) per
+    point; an instance beyond the brute-force cap raises CapExceeded."""
+    _check_instances(instances)
+    out = []
+    with _pool(jobs) as pool:
+        for pi, point in enumerate(points):
+            base = RbParams(point.k, point.n, point.alpha, point.r, point.p)
+            results = count_batch(_point_batch(base, base_seed, pi, instances),
+                                  method, brute_cap, pool)
+            if any(res is None for res in results):
+                raise CapExceeded("an instance exceeded the enumeration cap")
+            sizes = derive_sizes(base)
+            p_eff = effective_tightness(base)
+            out.append((point, p_eff, expected_count(point.n, sizes.d, sizes.m, p_eff),
+                        [res.count for res in results]))
+    return out
+
+
 @dataclass(frozen=True)
 class AccuracyRow:
     point: PointSpec
     p_eff: float
-    coverage: tuple[float, ...]  # aligned with the delta list
     instances: int
+    coverage: tuple[float, ...]  # aligned with the delta list
 
 
 def accuracy_table(points: Iterable[PointSpec], deltas: Sequence[float], *,
@@ -228,73 +281,38 @@ def accuracy_table(points: Iterable[PointSpec], deltas: Sequence[float], *,
     for delta in deltas:
         if not 0.0 < delta <= 1.0:
             raise ValueError(f"delta must lie in (0, 1], got {delta}")
-    rows = []
-    for pi, point in enumerate(points):
-        counts = _exact_counts(point, pi, instances, base_seed, method, brute_cap, jobs)
-        base = RbParams(point.k, point.n, point.alpha, point.r, point.p)
-        sizes = derive_sizes(base)
-        p_eff = sizes.t_nogoods / sizes.d ** point.k
-        expected = expected_count(point.n, sizes.d, sizes.m, p_eff).expected
-        coverage = tuple(
+    return [
+        AccuracyRow(point=point, p_eff=p_eff, instances=instances, coverage=tuple(
             sum(1 for x in counts
-                if (1.0 - delta) * expected < x < (1.0 + delta) * expected) / instances
-            for delta in deltas)
-        rows.append(AccuracyRow(point=point, p_eff=p_eff, coverage=coverage,
-                                instances=instances))
-    return rows
+                if (1.0 - delta) * mean.expected < x < (1.0 + delta) * mean.expected)
+            / instances
+            for delta in deltas))
+        for point, p_eff, mean, counts in _table_points(
+            points, instances, base_seed, method, brute_cap, jobs)]
 
 
 @dataclass(frozen=True)
 class ComparisonRow:
     point: PointSpec
     p_eff: float
+    instances: int
     mean_count: float       # sample mean of the exact counts
     mean_count_log: float
     expected: float         # closed-form mean at the effective tightness
     log_expected: float
-    instances: int
 
 
 def estimator_comparison(points: Iterable[PointSpec], *, instances: int = 300,
                          base_seed: int = 0, method: str = "backtrack",
                          brute_cap: int = 10 ** 8, jobs: int = 1) -> list[ComparisonRow]:
     """Sample mean of exact counts next to the closed-form mean, per point."""
-    rows = []
-    for pi, point in enumerate(points):
-        counts = _exact_counts(point, pi, instances, base_seed, method, brute_cap, jobs)
-        base = RbParams(point.k, point.n, point.alpha, point.r, point.p)
-        sizes = derive_sizes(base)
-        p_eff = sizes.t_nogoods / sizes.d ** point.k
-        log_e, linear = expected_count(point.n, sizes.d, sizes.m, p_eff)
-        rows.append(ComparisonRow(
-            point=point,
-            p_eff=p_eff,
-            mean_count=sum(counts) / len(counts),
-            mean_count_log=_log_mean(counts),
-            expected=linear,
-            log_expected=log_e,
-            instances=instances,
-        ))
-    return rows
-
-
-def _exact_counts(point: PointSpec, point_index: int, instances: int,
-                  base_seed: int, method: str, brute_cap: int,
-                  jobs: int) -> list[int]:
-    _check_instances(instances)
-    tasks = [
-        (point.k, point.n, point.alpha, point.r, point.p,
-         instance_seed(base_seed, point_index, ii), method, brute_cap)
-        for ii in range(instances)
-    ]
-    if jobs > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as executor:
-            results = list(executor.map(_count_task, tasks, chunksize=4))
-    else:
-        results = [_count_task(t) for t in tasks]
-    if any(res is None for res in results):
-        raise CapExceeded("an instance exceeded the enumeration cap")
-    return [res[0] for res in results]
+    return [
+        ComparisonRow(point=point, p_eff=p_eff, instances=instances,
+                      mean_count=sum(counts) / len(counts),
+                      mean_count_log=_log_mean(counts),
+                      expected=mean.expected, log_expected=mean.log_expected)
+        for point, p_eff, mean, counts in _table_points(
+            points, instances, base_seed, method, brute_cap, jobs)]
 
 
 # ---------------------------------------------------------------------------
@@ -306,38 +324,22 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def emit_csv(rows: Iterable[SweepRow], sink: TextIO) -> None:
-    """Write sweep rows with the fixed header; floats keep full precision."""
-    sink.write(CSV_HEADER + "\n")
-    for row in rows:
-        sink.write(",".join((
-            _fmt(row.p), _fmt(row.p_eff), _fmt(row.yes_fraction),
-            _fmt(row.mean_count_log), _fmt(row.median_count_log),
-            _fmt(row.mean_nodes), _fmt(row.wall_ms))) + "\n")
+def _cells(value) -> list[str]:
+    if isinstance(value, tuple):
+        return [cell for item in value for cell in _cells(item)]
+    return [str(value) if isinstance(value, int) else _fmt(value)]
 
 
-def emit_accuracy_csv(rows: Iterable[AccuracyRow], deltas: Sequence[float],
-                      sink: TextIO) -> None:
-    head = ["k", "n", "alpha", "r", "p", "p_eff", "instances"]
-    head += [f"coverage_delta_{_fmt(d)}" for d in deltas]
-    sink.write(",".join(head) + "\n")
+def emit_csv(header: Sequence[str], rows: Iterable, sink: TextIO) -> None:
+    """Write dataclass rows under ``header``: fields in declaration order,
+    nested dataclasses and tuples flattened, ints in decimal and floats as
+    repr, so they keep full precision."""
+    sink.write(",".join(header) + "\n")
     for row in rows:
-        cells = [str(row.point.k), str(row.point.n), _fmt(row.point.alpha),
-                 _fmt(row.point.r), _fmt(row.point.p), _fmt(row.p_eff),
-                 str(row.instances)]
-        cells += [_fmt(c) for c in row.coverage]
+        cells = _cells(dataclasses.astuple(row))
+        if len(cells) != len(header):
+            raise ValueError(f"row has {len(cells)} cells for {len(header)} columns")
         sink.write(",".join(cells) + "\n")
-
-
-def emit_comparison_csv(rows: Iterable[ComparisonRow], sink: TextIO) -> None:
-    sink.write("k,n,alpha,r,p,p_eff,instances,mean_count,mean_count_log,"
-               "expected,log_expected\n")
-    for row in rows:
-        sink.write(",".join((
-            str(row.point.k), str(row.point.n), _fmt(row.point.alpha),
-            _fmt(row.point.r), _fmt(row.point.p), _fmt(row.p_eff),
-            str(row.instances), _fmt(row.mean_count), _fmt(row.mean_count_log),
-            _fmt(row.expected), _fmt(row.log_expected))) + "\n")
 
 
 def emit_svg_plot(rows: Sequence[SweepRow], sink: TextIO,
@@ -402,8 +404,8 @@ def write_manifest(entries: dict, sink: TextIO) -> None:
 
 def sweep_manifest(config: SweepConfig) -> dict:
     """Manifest entries for a sweep: the full config plus derived context."""
-    base = _point_params(config, grid_values(config.grid_start, config.grid_stop,
-                                             config.grid_step)[0])
+    sizes = derive_sizes(_point_params(config, grid_values(
+        config.grid_start, config.grid_stop, config.grid_step)[0]))
     entries = {
         "experiment": "sweep",
         "k": config.k, "n": config.n, "alpha": config.alpha,
@@ -412,14 +414,12 @@ def sweep_manifest(config: SweepConfig) -> dict:
         "divisor": config.divisor,
         "instances_per_point": config.instances_per_point,
         "base_seed": config.base_seed, "method": config.method,
-        "jobs": config.jobs,
+        "jobs": config.jobs, "d": sizes.d, "m": sizes.m,
     }
     if config.vary == "p":
         entries["r"] = config.r
-        entries["critical_tightness"] = critical_tightness(
-            config.alpha, config.r, config.divisor)
+        entries["critical_tightness"] = critical_value(config)
     else:
         entries["p"] = config.p
-    entries["d"] = derive_sizes(base).d
-    entries["m"] = derive_sizes(base).m
+        entries["critical_density"] = critical_value(config)
     return entries

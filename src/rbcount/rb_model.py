@@ -308,47 +308,6 @@ def _check_divisor(divisor: float) -> None:
 
 
 # ---------------------------------------------------------------------------
-# the fixed-m/fixed-t sibling parameterisation
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ModelBCheck:
-    ok: bool
-    violations: tuple[str, ...]
-    m: int | None          # round(p1 * C(n, k)) when computable
-    t: int | None          # round(p2 * d^k) when computable
-
-
-def validate_model_b(k: int, n: int, d: int, p1: float, p2: float) -> ModelBCheck:
-    """Validate the proportion-based sibling model and report derived sizes.
-
-    Here p1 is the fraction of the C(n, k) possible scopes used and p2 the
-    fraction of value tuples forbidden per constraint.  Pure validation: no
-    clamping is applied to the derived m and t.
-    """
-    violations = []
-    if k < 2:
-        violations.append("arity k must be >= 2")
-    if n < 2:
-        violations.append("variable count n must be >= 2")
-    if k > n:
-        violations.append("arity k must not exceed variable count n")
-    if d < 2:
-        violations.append("domain size d must be >= 2")
-    if not 0.0 < p1 <= 1.0:
-        violations.append("scope proportion p1 must satisfy 0 < p1 <= 1")
-    if not 0.0 < p2 < 1.0:
-        violations.append("tightness p2 must satisfy 0 < p2 < 1")
-    m = t = None
-    if k >= 1 and n >= 1 and k <= n:
-        m = round_half_up(p1 * math.comb(n, k))
-    if d >= 1 and k >= 1:
-        t = round_half_up(p2 * d ** k)
-    return ModelBCheck(ok=not violations, violations=tuple(violations), m=m, t=t)
-
-
-# ---------------------------------------------------------------------------
 # instance text format
 # ---------------------------------------------------------------------------
 #

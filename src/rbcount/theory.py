@@ -12,7 +12,8 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .rb_model import Assignment, RbParams, _check_divisor, derive_sizes
+from .rb_model import (Assignment, RbParams, _check_divisor, derive_sizes,
+                       effective_tightness)
 
 PREDICT_YES = "YES"
 PREDICT_NO = "NO"
@@ -167,7 +168,7 @@ def ae_count(params: RbParams, delta: float, divisor: int = 2,
     if critical_band < 0:
         raise ValueError("critical_band must be >= 0")
     sizes = derive_sizes(params)
-    p_eff = sizes.t_nogoods / sizes.d ** params.k
+    p_eff = effective_tightness(params)
     log_e, linear = expected_count(params.n, sizes.d, sizes.m, p_eff)
     p_cr = critical_tightness(params.alpha, params.r, divisor)
     if abs(p_eff - p_cr) <= critical_band:

@@ -9,7 +9,7 @@ import pytest
 
 from rbcount.cli import main
 from rbcount.cnf_encode import read_dimacs
-from rbcount.experiments import CSV_HEADER
+from rbcount.experiments import CSV_HEADER, sweep_header
 from rbcount.rb_model import read_instance
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -134,6 +134,37 @@ def test_sweep_writes_csv_and_extras(tmp_path, capsys):
     assert "p=0.1000" in err  # progress goes to stderr
     assert svg_path.read_text().startswith("<svg ")
     assert "experiment = sweep" in man_path.read_text()
+
+
+def test_sweep_over_density_labels_its_axis(tmp_path, capsys):
+    csv_path, svg_path, man_path = (tmp_path / x for x in ("s.csv", "s.svg", "s.txt"))
+    code, _, err = run(["sweep", "-k", "2", "-n", "5", "-a", "0.8", "-r", "1.0",
+                        "-p", "0.2", "--vary", "r", "--start", "0.5", "--stop",
+                        "2.5", "--step", "0.5", "--instances", "3",
+                        "-o", str(csv_path), "--svg", str(svg_path),
+                        "--manifest", str(man_path)], capsys)
+    assert code == 0
+    header = csv_path.read_text().splitlines()[0]
+    assert header == ",".join(sweep_header("r"))
+    assert header.startswith("r,p_eff,")
+    assert "r=0.5000" in err
+    # the critical density at p_eff = 3/16 is about 1.93, inside the grid
+    assert "critical_density = 1.92" in man_path.read_text()
+    assert 'stroke="red"' in svg_path.read_text()
+
+
+def test_sweep_reports_cap_exceeded(tmp_path, capsys):
+    csv_path = tmp_path / "s.csv"
+    code, _, err = run(["sweep", "-k", "2", "-n", "5", "-a", "0.8", "-r", "1.5",
+                        "--start", "0.1", "--stop", "0.3", "--step", "0.2",
+                        "--instances", "4", "--method", "brute", "--cap", "10",
+                        "-o", str(csv_path)], capsys)
+    assert code == 0
+    lines = csv_path.read_text().splitlines()
+    assert lines[0].endswith(",cap_exceeded")
+    assert [line.split(",")[-1] for line in lines[1:]] == ["4", "4"]
+    warning = "rbcount: warning: 4 instances exceeded --cap and count as NO"
+    assert err.splitlines().count(warning) == 2
 
 
 def test_sweep_over_density_needs_p(capsys):

@@ -10,7 +10,7 @@ import pytest
 
 from rbcount.cnf_encode import count_models, encode_direct
 from rbcount.exact_count import (CapExceeded, count_backtrack, count_brute,
-                                 decide_at_least, decide_from_count)
+                                 decide_from_count)
 from rbcount.rb_model import Constraint, Instance, RbParams, generate
 from rbcount.theory import threshold_ceiling
 
@@ -225,14 +225,6 @@ def test_decide_boundary_is_exact_for_perfect_squares():
     # d^n square: count == d^(n/2) answers YES, one less answers NO
     assert decide_from_count(7776, 6, 10, 2).answer
     assert not decide_from_count(7775, 6, 10, 2).answer
-
-
-def test_decide_at_least_runs_both_methods():
-    inst = build(2, 2, [((0, 1), [(0, 0)])])  # 3 solutions, threshold 2
-    for method in ("backtrack", "brute"):
-        decision = decide_at_least(inst, 2, method=method)
-        assert decision.answer and decision.count.count == 3
-        assert decision.count.method == method
 
 
 def test_decide_rejects_bad_divisor():

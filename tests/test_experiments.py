@@ -10,15 +10,15 @@ import math
 import pytest
 
 from rbcount.exact_count import CapExceeded, count_backtrack, decide_from_count
-from rbcount.experiments import (CSV_HEADER, AccuracyRow, PointSpec,
-                                 SweepConfig, SweepRow, accuracy_table,
-                                 crossing_point, emit_accuracy_csv, emit_csv,
-                                 emit_comparison_csv, emit_svg_plot,
+from rbcount.experiments import (COMPARISON_HEADER, CSV_HEADER, AccuracyRow,
+                                 PointSpec, SweepConfig, SweepRow,
+                                 accuracy_header, accuracy_table,
+                                 crossing_point, emit_csv, emit_svg_plot,
                                  estimator_comparison, grid_values,
-                                 instance_seed, sweep_manifest,
+                                 instance_seed, sweep_header, sweep_manifest,
                                  sweep_tightness, write_manifest)
 from rbcount.rb_model import RbParams, derive_sizes, generate
-from rbcount.theory import expected_count, second_moment_ratio
+from rbcount.theory import critical_density, expected_count, second_moment_ratio
 
 TINY = SweepConfig(k=2, n=5, alpha=0.8, r=1.5, grid_start=0.1, grid_stop=0.5,
                    grid_step=0.1, instances_per_point=20)
@@ -198,6 +198,15 @@ def test_accuracy_table_propagates_cap():
                        method="brute", brute_cap=10)
 
 
+@pytest.mark.parametrize("table", [
+    lambda **kw: accuracy_table([PointSpec(2, 5, 0.8, 1.5, 0.2)], [0.5], **kw),
+    lambda **kw: estimator_comparison([PointSpec(2, 5, 0.8, 1.5, 0.2)], **kw),
+], ids=["accuracy", "comparison"])
+def test_tables_reject_unknown_method(table):
+    with pytest.raises(ValueError, match="unknown counting method"):
+        table(instances=3, method="guess")
+
+
 def test_estimator_comparison_mean_tracks_closed_form():
     point = PointSpec(2, 6, 0.8, 1.5, 0.25)
     instances = 200
@@ -221,11 +230,11 @@ def test_estimator_comparison_mean_tracks_closed_form():
 def test_csv_header_and_round_trip():
     rows = sweep_tightness(dataclasses.replace(TINY, instances_per_point=4))
     out = io.StringIO()
-    emit_csv(rows, out)
+    emit_csv(sweep_header("p"), rows, out)
     lines = out.getvalue().splitlines()
     assert lines[0] == CSV_HEADER
     assert CSV_HEADER == ("p,p_eff,yes_fraction,mean_count_log,"
-                          "median_count_log,mean_nodes,wall_ms")
+                          "median_count_log,mean_nodes,wall_ms,cap_exceeded")
     parsed = list(csv.DictReader(io.StringIO(out.getvalue())))
     assert len(parsed) == len(rows)
     for rec, row in zip(parsed, rows):
@@ -236,13 +245,14 @@ def test_csv_header_and_round_trip():
         assert float(rec["median_count_log"]) == row.median_count_log
         assert float(rec["mean_nodes"]) == row.mean_nodes
         assert float(rec["wall_ms"]) == row.wall_ms
+        assert rec["cap_exceeded"] == str(row.cap_exceeded)  # an int column
 
 
 def test_accuracy_csv_shape():
     row = AccuracyRow(point=PointSpec(2, 5, 0.8, 1.5, 0.2), p_eff=0.1875,
                       coverage=(0.5, 0.75), instances=40)
     out = io.StringIO()
-    emit_accuracy_csv([row], (0.5, 0.9), out)
+    emit_csv(accuracy_header((0.5, 0.9)), [row], out)
     header, body = out.getvalue().splitlines()
     assert header.startswith("k,n,alpha,r,p,p_eff,instances,coverage_delta_")
     assert body.split(",")[:2] == ["2", "5"]
@@ -252,7 +262,7 @@ def test_accuracy_csv_shape():
 def test_comparison_csv_shape():
     (row,) = estimator_comparison([PointSpec(2, 5, 0.8, 1.5, 0.2)], instances=10)
     out = io.StringIO()
-    emit_comparison_csv([row], out)
+    emit_csv(COMPARISON_HEADER, [row], out)
     header, body = out.getvalue().splitlines()
     assert header == ("k,n,alpha,r,p,p_eff,instances,mean_count,"
                       "mean_count_log,expected,log_expected")
@@ -316,3 +326,5 @@ def test_sweep_manifest_for_density_axis():
     assert entries["vary"] == "r"
     assert entries["p"] == 0.2
     assert "critical_tightness" not in entries
+    # at the effective tightness t/d^k = 3/16 that p=0.2 rounds to at d=4
+    assert entries["critical_density"] == critical_density(0.8, 3 / 16, 2)

@@ -12,7 +12,7 @@ from rbcount.rb_model import (Constraint, DerivedSizes, Instance,
                               InstanceFormatError, RbParams, derive_sizes,
                               effective_tightness, generate, read_instance,
                               round_half_up, theorem_applicability,
-                              validate_model_b, write_instance)
+                              write_instance)
 
 
 def params_for(k, n, d, m, t, seed=0):
@@ -152,7 +152,7 @@ def test_nogood_tuples_uniform():
         assert abs(hits / m - expected) <= 4 * se, f"tuple {tup}: {hits / m}"
 
 
-# === applicability and the sibling model ===
+# === applicability ===
 
 
 def test_applicability_published_parameters():
@@ -180,19 +180,6 @@ def test_applicability_violations():
 def test_applicability_rejects_bad_divisor():
     with pytest.raises(ValueError):
         theorem_applicability(RbParams(2, 20, 0.8, 1.7, 0.2), 1)
-
-
-def test_validate_model_b_ok():
-    check = validate_model_b(2, 10, 4, 0.5, 0.25)
-    assert check.ok and not check.violations
-    assert check.m == 23  # round(0.5 * C(10,2)) = round(22.5)
-    assert check.t == 4   # round(0.25 * 16)
-
-
-def test_validate_model_b_violations():
-    check = validate_model_b(1, 10, 4, 0.0, 1.0)
-    assert not check.ok
-    assert len(check.violations) == 3
 
 
 # === text format ===
