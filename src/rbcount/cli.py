@@ -36,33 +36,25 @@ class _Parser(argparse.ArgumentParser):
 
 
 @contextlib.contextmanager
-def _open_out(path: str):
+def _open(path: str, mode: str):
+    """Open a text file in mode "r" or "w"; "-" is stdin or stdout."""
     if path == "-":
-        yield sys.stdout
+        yield sys.stdin if mode == "r" else sys.stdout
     else:
-        with open(path, "w", encoding="utf-8") as fp:
+        with open(path, mode, encoding="utf-8") as fp:
             yield fp
 
 
-@contextlib.contextmanager
-def _open_in(path: str):
-    if path == "-":
-        yield sys.stdin
-    else:
-        with open(path, "r", encoding="utf-8") as fp:
-            yield fp
-
-
-def _add_params(sub: argparse.ArgumentParser, with_p: bool = True) -> None:
+def _add_params(sub: argparse.ArgumentParser, required: bool = True) -> None:
+    # sweep passes required=False and requires the fixed one of -r/-p itself
     sub.add_argument("-k", type=int, required=True, help="constraint arity")
     sub.add_argument("-n", type=int, required=True, help="variable count")
     sub.add_argument("-a", "--alpha", type=float, required=True,
                      help="domain growth exponent (d = n^alpha)")
-    sub.add_argument("-r", type=float, required=True,
+    sub.add_argument("-r", type=float, required=required,
                      help="constraint density (m = r*n*ln n)")
-    if with_p:
-        sub.add_argument("-p", type=float, required=True,
-                         help="constraint tightness in (0, 1)")
+    sub.add_argument("-p", type=float, required=required,
+                     help="constraint tightness in (0, 1)")
 
 
 def _params(args, p: float | None = None) -> RbParams:
@@ -85,13 +77,13 @@ def _count_args(sub: argparse.ArgumentParser) -> None:
 
 def cmd_gen(args) -> int:
     instance = generate(_params(args))
-    with _open_out(args.output) as fp:
+    with _open(args.output, "w") as fp:
         write_instance(instance, fp)
     return 0
 
 
 def cmd_count(args) -> int:
-    with _open_in(args.instance) as fp:
+    with _open(args.instance, "r") as fp:
         instance = read_instance(fp)
     result = count_instance(instance, args.method, args.cap)
     print(result.count)
@@ -102,7 +94,7 @@ def cmd_count(args) -> int:
 
 
 def cmd_decide(args) -> int:
-    with _open_in(args.instance) as fp:
+    with _open(args.instance, "r") as fp:
         instance = read_instance(fp)
     result = count_instance(instance, args.method, args.cap)
     decision = decide_from_count(result, instance.d, instance.n, args.divisor)
@@ -144,28 +136,27 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_encode(args) -> int:
-    with _open_in(args.instance) as fp:
+    with _open(args.instance, "r") as fp:
         instance = read_instance(fp)
     cnf = encode_direct(instance)
     comments = [f"rbcount {__version__} direct encoding",
                 f"source: n={instance.n} d={instance.d} "
                 f"constraints={len(instance.constraints)}"]
-    if instance.provenance is not None:
-        params, _ = instance.provenance
-        comments.append(f"params: k={params.k} n={params.n} alpha={params.alpha!r}"
-                        f" r={params.r!r} p={params.p!r} seed={params.seed}")
-    with _open_out(args.output) as fp:
+    with _open(args.output, "w") as fp:
         write_dimacs(cnf, fp, comments=comments)
     return 0
 
 
 def cmd_sweep(args) -> int:
-    if args.vary == "r" and args.p is None:
-        raise UsageError("rbcount sweep: error: --vary r requires -p")
+    fixed = "r" if args.vary == "p" else "p"
+    if getattr(args, fixed) is None:
+        raise UsageError(f"rbcount sweep: error: --vary {args.vary} requires -{fixed}")
+    # the grid replaces the varied axis, so its value is only a placeholder
     config = SweepConfig(
-        k=args.k, n=args.n, alpha=args.alpha, r=args.r,
+        k=args.k, n=args.n, alpha=args.alpha,
+        r=args.r if args.vary == "p" else 1.0,
         grid_start=args.start, grid_stop=args.stop, grid_step=args.step,
-        vary=args.vary, p=args.p if args.p is not None else 0.5,
+        vary=args.vary, p=args.p if args.vary == "r" else 0.5,
         divisor=args.divisor, instances_per_point=args.instances,
         base_seed=args.seed, method=args.method, brute_cap=args.cap,
         jobs=args.jobs)
@@ -179,7 +170,7 @@ def cmd_sweep(args) -> int:
                   "and count as NO", file=sys.stderr)
 
     rows = sweep_tightness(config, progress=progress)
-    with _open_out(args.output) as fp:
+    with _open(args.output, "w") as fp:
         emit_csv(sweep_header(config.vary), rows, fp)
     cross = crossing_point(rows)
     if cross is not None:
@@ -187,10 +178,10 @@ def cmd_sweep(args) -> int:
     if args.svg is not None:
         title = (f"k={config.k} n={config.n} alpha={config.alpha} "
                  f"{'r=' + str(config.r) if config.vary == 'p' else 'p=' + str(config.p)}")
-        with _open_out(args.svg) as fp:
+        with _open(args.svg, "w") as fp:
             emit_svg_plot(rows, fp, marker=critical_value(config), title=title)
     if args.manifest is not None:
-        with _open_out(args.manifest) as fp:
+        with _open(args.manifest, "w") as fp:
             write_manifest(sweep_manifest(config), fp)
     return 0
 
@@ -211,7 +202,7 @@ def cmd_accuracy(args) -> int:
     rows = accuracy_table([point], deltas, instances=args.instances,
                           base_seed=args.seed, method=args.method,
                           brute_cap=args.cap, jobs=args.jobs)
-    with _open_out(args.output) as fp:
+    with _open(args.output, "w") as fp:
         emit_csv(accuracy_header(deltas), rows, fp)
     return 0
 
@@ -221,7 +212,7 @@ def cmd_compare(args) -> int:
     rows = estimator_comparison([point], instances=args.instances,
                                 base_seed=args.seed, method=args.method,
                                 brute_cap=args.cap, jobs=args.jobs)
-    with _open_out(args.output) as fp:
+    with _open(args.output, "w") as fp:
         emit_csv(COMPARISON_HEADER, rows, fp)
     return 0
 
@@ -273,10 +264,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub.set_defaults(func=cmd_encode)
 
     sub = subs.add_parser("sweep", help="grid sweep with exact counting")
-    _add_params(sub, with_p=False)
-    sub.add_argument("-p", type=float, default=None,
-                     help="fixed tightness (required with --vary r)")
-    sub.add_argument("--vary", choices=("p", "r"), default="p")
+    _add_params(sub, required=False)
+    sub.add_argument("--vary", choices=("p", "r"), default="p",
+                     help="the swept axis; the other of -r/-p is required")
     sub.add_argument("--start", type=float, required=True)
     sub.add_argument("--stop", type=float, required=True)
     sub.add_argument("--step", type=float, required=True)
@@ -330,7 +320,7 @@ def main(argv: list[str] | None = None) -> int:
         print(exc, file=sys.stderr)
         return 1
     except (InstanceFormatError, DimacsError, CapExceeded, ValueError,
-            OSError) as exc:
+            OSError, RecursionError) as exc:
         print(f"rbcount: error: {exc}", file=sys.stderr)
         return 2
 

@@ -403,7 +403,11 @@ def write_manifest(entries: dict, sink: TextIO) -> None:
 
 
 def sweep_manifest(config: SweepConfig) -> dict:
-    """Manifest entries for a sweep: the full config plus derived context."""
+    """Manifest entries for a sweep: the full config plus derived context.
+
+    d is constant along either axis; m only along p, so it is recorded
+    only there.
+    """
     sizes = derive_sizes(_point_params(config, grid_values(
         config.grid_start, config.grid_stop, config.grid_step)[0]))
     entries = {
@@ -414,9 +418,10 @@ def sweep_manifest(config: SweepConfig) -> dict:
         "divisor": config.divisor,
         "instances_per_point": config.instances_per_point,
         "base_seed": config.base_seed, "method": config.method,
-        "jobs": config.jobs, "d": sizes.d, "m": sizes.m,
+        "jobs": config.jobs, "d": sizes.d,
     }
     if config.vary == "p":
+        entries["m"] = sizes.m
         entries["r"] = config.r
         entries["critical_tightness"] = critical_value(config)
     else:

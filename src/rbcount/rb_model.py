@@ -186,27 +186,34 @@ class Instance:
         """True when no constraint forbids its projection of the assignment."""
         return all(c.allows(assignment) for c in self.constraints)
 
+    def arity(self) -> int:
+        """The arity all constraints share (2 when there are none); raises
+        InstanceFormatError when they differ, as the text format has one k."""
+        arities = {len(c.scope) for c in self.constraints}
+        if len(arities) > 1:
+            raise InstanceFormatError(f"constraints mix arities {sorted(arities)}")
+        return arities.pop() if arities else 2
+
     def validate(self) -> None:
-        """Raise InstanceFormatError if any structural invariant is broken."""
-        if self.n < 1:
-            raise InstanceFormatError("need at least one variable")
-        if self.d < 2:
-            raise InstanceFormatError("domain size must be >= 2")
+        """Raise InstanceFormatError if a structural rule is broken.
+
+        The one home of the rules: n >= 1, d >= 2, one arity >= 2 for all
+        constraints, strictly increasing scopes in [0, n), and nogoods of
+        that arity with values in [0, d).  read_instance calls this.
+        """
+        if self.n < 1 or self.d < 2:
+            raise InstanceFormatError(f"need n >= 1 and d >= 2, got n={self.n} d={self.d}")
+        k = self.arity()
+        if k < 2:
+            raise InstanceFormatError(f"arity must be >= 2, got {k}")
         for ci, c in enumerate(self.constraints):
-            k = len(c.scope)
-            if k < 2:
-                raise InstanceFormatError(f"constraint {ci}: arity must be >= 2")
-            if any(not 0 <= v < self.n for v in c.scope):
-                raise InstanceFormatError(f"constraint {ci}: variable index out of range")
-            if any(a >= b for a, b in zip(c.scope, c.scope[1:])):
-                raise InstanceFormatError(
-                    f"constraint {ci}: scope must be strictly increasing")
-            for ng in c.nogoods:
-                if len(ng) != k:
-                    raise InstanceFormatError(
-                        f"constraint {ci}: nogood length {len(ng)} != arity {k}")
-                if any(not 0 <= x < self.d for x in ng):
-                    raise InstanceFormatError(f"constraint {ci}: value out of range")
+            s = c.scope
+            if s[0] < 0 or s[-1] >= self.n or any(a >= b for a, b in zip(s, s[1:])):
+                raise InstanceFormatError(f"constraint {ci}: scope {s} is not strictly "
+                                          f"increasing in [0, {self.n})")
+            if any(len(ng) != k or min(ng) < 0 or max(ng) >= self.d for ng in c.nogoods):
+                raise InstanceFormatError(f"constraint {ci}: a nogood is not {k} "
+                                          f"values in [0, {self.d})")
 
 
 # ---------------------------------------------------------------------------
@@ -214,14 +221,12 @@ class Instance:
 # ---------------------------------------------------------------------------
 
 
-def _draw_scope(stream: DrawStream, n: int, k: int) -> tuple[int, ...]:
-    # Distinct indices via rejection, then sort: uniform over k-subsets.
-    chosen: list[int] = []
-    while len(chosen) < k:
-        v = stream.below(n)
-        if v not in chosen:
-            chosen.append(v)
-    return tuple(sorted(chosen))
+def _draw_distinct(stream: DrawStream, bound: int, count: int) -> set[int]:
+    # Rejection on repeats: uniform over count-subsets of [0, bound).
+    seen: set[int] = set()
+    while len(seen) < count:
+        seen.add(stream.below(bound))
+    return seen
 
 
 def _decode_tuple(index: int, d: int, k: int) -> tuple[int, ...]:
@@ -232,16 +237,6 @@ def _decode_tuple(index: int, d: int, k: int) -> tuple[int, ...]:
     return tuple(vals)
 
 
-def _draw_nogoods(stream: DrawStream, d: int, k: int, t: int) -> frozenset[tuple[int, ...]]:
-    dk = d ** k
-    seen: set[int] = set()
-    while len(seen) < t:
-        idx = stream.below(dk)
-        if idx not in seen:
-            seen.add(idx)
-    return frozenset(_decode_tuple(i, d, k) for i in seen)
-
-
 def generate(params: RbParams) -> Instance:
     """Generate an instance: m uniform scopes, each with t_nogoods distinct
     forbidden tuples drawn uniformly without replacement.
@@ -250,11 +245,13 @@ def generate(params: RbParams) -> Instance:
     Pure in (params, seed): equal parameters give equal instances.
     """
     sizes = derive_sizes(params)
+    k, d = params.k, sizes.d
     constraints = []
     for ci in range(sizes.m):
         stream = DrawStream(params.seed, ci)
-        scope = _draw_scope(stream, params.n, params.k)
-        nogoods = _draw_nogoods(stream, sizes.d, params.k, sizes.t_nogoods)
+        scope = tuple(sorted(_draw_distinct(stream, params.n, k)))
+        drawn = _draw_distinct(stream, d ** k, sizes.t_nogoods)
+        nogoods = frozenset(_decode_tuple(i, d, k) for i in drawn)
         constraints.append(Constraint(scope, nogoods))
     return Instance(params.n, sizes.d, tuple(constraints), provenance=(params, sizes))
 
@@ -320,13 +317,14 @@ def _check_divisor(divisor: float) -> None:
 
 
 def write_instance(instance: Instance, sink: TextIO) -> None:
-    """Write an instance in the plain-text exchange format (deterministic)."""
+    """Write an instance in the plain-text exchange format (deterministic);
+    raises InstanceFormatError, writing nothing, on mixed arities."""
+    k = instance.arity()
     if instance.provenance is not None:
         params, sizes = instance.provenance
         sink.write(f"# generated: k={params.k} n={params.n} alpha={params.alpha!r}"
                    f" r={params.r!r} p={params.p!r} seed={params.seed}\n")
         sink.write(f"# derived: d={sizes.d} m={sizes.m} t_nogoods={sizes.t_nogoods}\n")
-    k = len(instance.constraints[0].scope) if instance.constraints else 2
     sink.write(f"{FORMAT_MAGIC} {FORMAT_VERSION}\n")
     sink.write(f"n {instance.n} d {instance.d} k {k} m {len(instance.constraints)}\n")
     for c in instance.constraints:
@@ -335,99 +333,66 @@ def write_instance(instance: Instance, sink: TextIO) -> None:
             sink.write("g " + " ".join(map(str, ng)) + "\n")
 
 
-def _ints(tokens: Iterable[str], context: str) -> list[int]:
+def _ints(tokens: Iterable[str], lineno: int) -> tuple[int, ...]:
     out = []
     for tok in tokens:
         try:
             out.append(int(tok))
         except ValueError:
-            raise InstanceFormatError(f"{context}: expected integer, got {tok!r}") from None
-    return out
+            raise InstanceFormatError(
+                f"line {lineno}: expected integer, got {tok!r}") from None
+    return tuple(out)
 
 
 def read_instance(source: TextIO) -> Instance:
-    """Parse the text format back into an Instance, validating as it goes.
+    """Parse the text format into an Instance, then validate() it.
 
-    Rejects out-of-range indices, arity/count mismatches, unsorted scopes and
-    duplicate nogoods.  Constraints with no nogood lines are legal (they
-    forbid nothing); the generator never emits them but files may.
+    The reader checks only the format: magic and version, the size line,
+    integer tokens, k values per c/g line, no g before the first c, known
+    tags, no duplicate nogood (a frozenset would hide it), the declared m,
+    and the header's k >= 2 and m >= 0, which validate() cannot see when
+    m = 0.  Instance.validate checks the structure.  A constraint with no
+    g lines is legal: it forbids nothing.
     """
-    lines = [(i + 1, ln.strip()) for i, ln in enumerate(source)
-             if ln.strip() and not ln.lstrip().startswith("#")]
-    if not lines:
+    lines = ((i, toks) for i, ln in enumerate(source, 1)
+             if (toks := ln.split()) and not toks[0].startswith("#"))
+    lineno, parts = next(lines, (0, None))
+    if parts is None:
         raise InstanceFormatError("empty input")
-    pos = 0
-
-    lineno, header = lines[pos]
-    pos += 1
-    parts = header.split()
     if parts[0] != FORMAT_MAGIC:
         raise InstanceFormatError(f"line {lineno}: expected magic {FORMAT_MAGIC!r}")
     if parts[1:] != [str(FORMAT_VERSION)]:
         raise InstanceFormatError(f"line {lineno}: unsupported format version")
-
-    if pos >= len(lines):
+    lineno, toks = next(lines, (0, None))
+    if toks is None:
         raise InstanceFormatError("missing size line")
-    lineno, sizes_line = lines[pos]
-    pos += 1
-    toks = sizes_line.split()
-    if len(toks) != 8 or toks[0] != "n" or toks[2] != "d" or toks[4] != "k" or toks[6] != "m":
+    if len(toks) != 8 or toks[0::2] != ["n", "d", "k", "m"]:
         raise InstanceFormatError(f"line {lineno}: expected 'n <n> d <d> k <k> m <m>'")
-    n, d, k, m = _ints((toks[1], toks[3], toks[5], toks[7]), f"line {lineno}")
-    if n < 1:
-        raise InstanceFormatError(f"line {lineno}: n must be >= 1")
-    if d < 2:
-        raise InstanceFormatError(f"line {lineno}: d must be >= 2")
-    if k < 2:
-        raise InstanceFormatError(f"line {lineno}: k must be >= 2")
-    if m < 0:
-        raise InstanceFormatError(f"line {lineno}: m must be >= 0")
-    if m > 0 and k > n:
-        raise InstanceFormatError(f"line {lineno}: k={k} exceeds n={n}")
+    n, d, k, m = _ints(toks[1::2], lineno)
+    if k < 2 or m < 0:
+        raise InstanceFormatError(f"line {lineno}: need k >= 2 and m >= 0")
 
-    constraints: list[Constraint] = []
-    scope: tuple[int, ...] | None = None
-    nogoods: set[tuple[int, ...]] = set()
-
-    def flush():
-        if scope is not None:
-            constraints.append(Constraint(scope, frozenset(nogoods)))
-
-    while pos < len(lines):
-        lineno, line = lines[pos]
-        pos += 1
-        toks = line.split()
-        tag, body = toks[0], toks[1:]
-        if tag == "c":
-            flush()
-            vals = _ints(body, f"line {lineno}")
-            if len(vals) != k:
-                raise InstanceFormatError(f"line {lineno}: scope needs {k} variables")
-            if any(not 0 <= v < n for v in vals):
-                raise InstanceFormatError(f"line {lineno}: variable index out of range")
-            if any(a >= b for a, b in zip(vals, vals[1:])):
-                raise InstanceFormatError(f"line {lineno}: scope must be strictly increasing")
-            scope = tuple(vals)
-            nogoods = set()
-        elif tag == "g":
-            if scope is None:
-                raise InstanceFormatError(f"line {lineno}: nogood before any scope line")
-            vals = _ints(body, f"line {lineno}")
-            if len(vals) != k:
-                raise InstanceFormatError(f"line {lineno}: nogood needs {k} values")
-            if any(not 0 <= x < d for x in vals):
-                raise InstanceFormatError(f"line {lineno}: value out of range")
-            tup = tuple(vals)
-            if tup in nogoods:
-                raise InstanceFormatError(f"line {lineno}: duplicate nogood {tup}")
-            nogoods.add(tup)
-        else:
+    scopes: list[tuple[int, ...]] = []
+    nogoods: list[set[tuple[int, ...]]] = []
+    for lineno, (tag, *body) in lines:
+        if tag not in ("c", "g"):
             raise InstanceFormatError(f"line {lineno}: unknown line tag {tag!r}")
-    flush()
+        if tag == "g" and not scopes:
+            raise InstanceFormatError(f"line {lineno}: nogood before any scope line")
+        vals = _ints(body, lineno)
+        if len(vals) != k:
+            raise InstanceFormatError(f"line {lineno}: {tag!r} line needs {k} values")
+        if tag == "c":
+            scopes.append(vals)
+            nogoods.append(set())
+        elif vals in nogoods[-1]:
+            raise InstanceFormatError(f"line {lineno}: duplicate nogood {vals}")
+        else:
+            nogoods[-1].add(vals)
 
-    if len(constraints) != m:
-        raise InstanceFormatError(
-            f"declared m={m} but found {len(constraints)} constraints")
-    inst = Instance(n, d, tuple(constraints))
+    if len(scopes) != m:
+        raise InstanceFormatError(f"declared m={m} but found {len(scopes)} constraints")
+    inst = Instance(n, d, tuple(Constraint(scope, frozenset(ngs))
+                                for scope, ngs in zip(scopes, nogoods)))
     inst.validate()
     return inst

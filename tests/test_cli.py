@@ -138,7 +138,7 @@ def test_sweep_writes_csv_and_extras(tmp_path, capsys):
 
 def test_sweep_over_density_labels_its_axis(tmp_path, capsys):
     csv_path, svg_path, man_path = (tmp_path / x for x in ("s.csv", "s.svg", "s.txt"))
-    code, _, err = run(["sweep", "-k", "2", "-n", "5", "-a", "0.8", "-r", "1.0",
+    code, _, err = run(["sweep", "-k", "2", "-n", "5", "-a", "0.8",
                         "-p", "0.2", "--vary", "r", "--start", "0.5", "--stop",
                         "2.5", "--step", "0.5", "--instances", "3",
                         "-o", str(csv_path), "--svg", str(svg_path),
@@ -173,6 +173,30 @@ def test_sweep_over_density_needs_p(capsys):
                         "--step", "0.5"], capsys)
     assert code == 1
     assert "requires -p" in err
+
+
+def test_sweep_needs_only_the_fixed_axis(capsys):
+    grid = ["--start", "0.5", "--stop", "1.0", "--step", "0.5", "--instances", "2"]
+    code, _, _ = run(["sweep", "-k", "2", "-n", "5", "-a", "0.8", "-p", "0.2",
+                      "--vary", "r"] + grid, capsys)
+    assert code == 0
+    code, _, err = run(["sweep", "-k", "2", "-n", "5", "-a", "0.8", "-p", "0.2",
+                        "--vary", "p"] + grid, capsys)
+    assert code == 1
+    assert "requires -r" in err
+
+
+def test_deep_instance_is_a_runtime_error(tmp_path, capsys):
+    # a chain longer than the recursion limit: the counter recurses per variable
+    n = 1500
+    lines = ["rbcsp 1", f"n {n} d 2 k 2 m {n - 1}"]
+    for v in range(n - 1):
+        lines += [f"c {v} {v + 1}", "g 0 0"]
+    chain = tmp_path / "chain.rbcsp"
+    chain.write_text("\n".join(lines) + "\n")
+    code, out, err = run(["count", str(chain)], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("rbcount: error: ") and err.count("\n") == 1
 
 
 def test_accuracy_csv(tmp_path, capsys):

@@ -326,5 +326,7 @@ def test_sweep_manifest_for_density_axis():
     assert entries["vary"] == "r"
     assert entries["p"] == 0.2
     assert "critical_tightness" not in entries
+    # m changes along the density axis, so only d is recorded
+    assert "m" not in entries and entries["d"] == 4
     # at the effective tightness t/d^k = 3/16 that p=0.2 rounds to at d=4
     assert entries["critical_density"] == critical_density(0.8, 3 / 16, 2)

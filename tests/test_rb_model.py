@@ -7,6 +7,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rbcount.rb_model import (Constraint, DerivedSizes, Instance,
                               InstanceFormatError, RbParams, derive_sizes,
@@ -237,6 +239,8 @@ def test_parse_allows_empty_nogood_set():
     ("rbcsp 1\nn 2 d 2 k 2 m 1\ng 0 0\nc 0 1\n", "nogood before scope"),
     ("rbcsp 1\nn 2 d 2 k 2 m 1\nc 0 1\nx 0 0\n", "unknown tag"),
     ("rbcsp 1\nn 2 d 2 k 2 m 1\nc 0 one\n", "non-integer"),
+    ("rbcsp 1\nn 0 d 2 k 2 m 0\n", "no variables"),
+    ("rbcsp 1\nn 2 d 2 k 1 m 0\n", "arity below 2"),
 ])
 def test_parse_rejects_malformed(text, what):
     with pytest.raises(InstanceFormatError):
@@ -258,3 +262,34 @@ def test_instance_validate_catches_bad_data():
     bad = Instance(2, 2, (Constraint((0, 1), frozenset({(0, 5)})),))
     with pytest.raises(InstanceFormatError):
         bad.validate()
+
+
+def test_mixed_arity_can_be_neither_validated_nor_written():
+    mixed = Instance(4, 2, (Constraint((0, 1), frozenset({(0, 0)})),
+                            Constraint((1, 2, 3), frozenset({(0, 0, 1)}))))
+    with pytest.raises(InstanceFormatError, match="mix arities"):
+        mixed.validate()
+    sink = io.StringIO()
+    with pytest.raises(InstanceFormatError, match="mix arities"):
+        write_instance(mixed, sink)
+    assert sink.getvalue() == ""
+
+
+def _written(instance):
+    sink = io.StringIO()
+    write_instance(instance, sink)
+    return sink.getvalue()
+
+
+@settings(max_examples=50, deadline=None)
+@given(k=st.integers(2, 4), n=st.integers(4, 7), alpha=st.floats(0.5, 0.9),
+       r=st.floats(0.2, 1.5), p=st.floats(0.01, 0.99),
+       seed=st.integers(0, 2 ** 64 - 1))
+def test_write_read_write_round_trip(k, n, alpha, r, p, seed):
+    inst = generate(RbParams(k, n, alpha, r, p, seed))
+    first = _written(inst)
+    back = read_instance(io.StringIO(first))
+    assert (back.n, back.d, back.constraints) == (inst.n, inst.d, inst.constraints)
+    # the read-back instance has no provenance, so no '#' lines
+    assert _written(back) == "".join(
+        line for line in first.splitlines(keepends=True) if not line.startswith("#"))
