@@ -8,10 +8,10 @@ counts from closed forms, encode to CNF, and run grid experiments.
 __version__ = "0.1.0"
 
 from .cnf_encode import Cnf, DimacsError, count_models, encode_direct, read_dimacs, write_dimacs
-from .exact_count import (CapExceeded, CountResult, Decision, count_backtrack,
-                          count_brute, decide_from_count)
-from .experiments import (AccuracyRow, ComparisonRow, PointSpec, SweepConfig,
-                          SweepRow, accuracy_table, count_batch, count_instance,
+from .exact_count import (CapExceeded, CountResult, count_backtrack, count_brute,
+                          decide_from_count)
+from .experiments import (AccuracyRow, ComparisonRow, SweepConfig, SweepRow,
+                          accuracy_table, count_batch, count_instance,
                           critical_value, crossing_point, emit_csv, emit_svg_plot,
                           estimator_comparison, sweep_tightness, write_manifest)
 from .rb_model import (ApplicabilityReport, Assignment, Constraint, DerivedSizes,

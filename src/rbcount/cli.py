@@ -16,14 +16,14 @@ from typing import TextIO
 from . import __version__
 from .cnf_encode import DimacsError, encode_direct, write_dimacs
 from .exact_count import CapExceeded, DEFAULT_BRUTE_CAP, decide_from_count
-from .experiments import (COMPARISON_HEADER, PointSpec, SweepConfig, accuracy_header,
+from .experiments import (COMPARISON_HEADER, SweepConfig, accuracy_header,
                           accuracy_table, count_instance, critical_value,
                           crossing_point, emit_csv, emit_svg_plot,
                           estimator_comparison, sweep_header, sweep_manifest,
                           sweep_tightness, write_manifest)
 from .rb_model import (InstanceFormatError, RbParams, derive_sizes, effective_tightness,
                        generate, read_instance, theorem_applicability, write_instance)
-from .theory import (ae_count, critical_density, critical_tightness)
+from .theory import DEFAULT_CRITICAL_BAND, ae_count, critical_density, critical_tightness
 
 
 class UsageError(Exception):
@@ -57,10 +57,24 @@ def _add_params(sub: argparse.ArgumentParser, required: bool = True) -> None:
                      help="constraint tightness in (0, 1)")
 
 
-def _params(args, p: float | None = None) -> RbParams:
-    return RbParams(args.k, args.n, args.alpha, args.r,
-                    args.p if p is None else p,
-                    getattr(args, "seed", 0))
+def _params(args, **override) -> RbParams:
+    fields = {"k": args.k, "n": args.n, "alpha": args.alpha, "r": args.r, "p": args.p,
+              "seed": getattr(args, "seed", 0)}
+    return RbParams(**(fields | override))
+
+
+def _decimal(count: int) -> str:
+    """Exact decimal digits at any size: str() of an int past 4300 digits needs
+    the process-wide limit lifted, so it is lifted for this one call only."""
+    get_limit = getattr(sys, "get_int_max_str_digits", None)
+    if get_limit is None:  # a Python without the limit
+        return str(count)
+    limit = get_limit()
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(count)
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def _count_args(sub: argparse.ArgumentParser) -> None:
@@ -86,7 +100,7 @@ def cmd_count(args) -> int:
     with _open(args.instance, "r") as fp:
         instance = read_instance(fp)
     result = count_instance(instance, args.method, args.cap)
-    print(result.count)
+    print(_decimal(result.count))
     print(f"nodes {result.nodes_visited}")
     print(f"method {result.method}")
     print(f"memo_states {result.memo_states}")
@@ -97,11 +111,11 @@ def cmd_decide(args) -> int:
     with _open(args.instance, "r") as fp:
         instance = read_instance(fp)
     result = count_instance(instance, args.method, args.cap)
-    decision = decide_from_count(result, instance.d, instance.n, args.divisor)
-    print("YES" if decision.answer else "NO")
-    print(f"count {result.count}")
+    answer = decide_from_count(result.count, instance.d, instance.n, args.divisor)
+    print("YES" if answer else "NO")
+    print(f"count {_decimal(result.count)}")
     print(f"threshold d^(n/{args.divisor}) with d={instance.d} n={instance.n}")
-    if args.exit_code and not decision.answer:
+    if args.exit_code and not answer:
         return 3
     return 0
 
@@ -151,15 +165,10 @@ def cmd_sweep(args) -> int:
     fixed = "r" if args.vary == "p" else "p"
     if getattr(args, fixed) is None:
         raise UsageError(f"rbcount sweep: error: --vary {args.vary} requires -{fixed}")
-    # the grid replaces the varied axis, so its value is only a placeholder
     config = SweepConfig(
-        k=args.k, n=args.n, alpha=args.alpha,
-        r=args.r if args.vary == "p" else 1.0,
-        grid_start=args.start, grid_stop=args.stop, grid_step=args.step,
-        vary=args.vary, p=args.p if args.vary == "r" else 0.5,
-        divisor=args.divisor, instances_per_point=args.instances,
-        base_seed=args.seed, method=args.method, brute_cap=args.cap,
-        jobs=args.jobs)
+        _params(args, **{args.vary: args.start}), args.stop, args.step,
+        vary=args.vary, divisor=args.divisor, instances_per_point=args.instances,
+        method=args.method, brute_cap=args.cap, jobs=args.jobs)
 
     def progress(row):
         print(f"{config.vary}={row.p:.4f} p_eff={row.p_eff:.4f} "
@@ -176,8 +185,8 @@ def cmd_sweep(args) -> int:
     if cross is not None:
         print(f"crossing {cross!r}", file=sys.stderr)
     if args.svg is not None:
-        title = (f"k={config.k} n={config.n} alpha={config.alpha} "
-                 f"{'r=' + str(config.r) if config.vary == 'p' else 'p=' + str(config.p)}")
+        base = config.base
+        title = f"k={base.k} n={base.n} alpha={base.alpha} {fixed}={getattr(base, fixed)}"
         with _open(args.svg, "w") as fp:
             emit_svg_plot(rows, fp, marker=critical_value(config), title=title)
     if args.manifest is not None:
@@ -198,22 +207,18 @@ def _parse_deltas(text: str) -> list[float]:
 
 def cmd_accuracy(args) -> int:
     deltas = _parse_deltas(args.deltas)
-    point = PointSpec(args.k, args.n, args.alpha, args.r, args.p)
-    rows = accuracy_table([point], deltas, instances=args.instances,
-                          base_seed=args.seed, method=args.method,
-                          brute_cap=args.cap, jobs=args.jobs)
+    row = accuracy_table(_params(args), deltas, instances=args.instances,
+                         method=args.method, brute_cap=args.cap, jobs=args.jobs)
     with _open(args.output, "w") as fp:
-        emit_csv(accuracy_header(deltas), rows, fp)
+        emit_csv(accuracy_header(deltas), [row], fp)
     return 0
 
 
 def cmd_compare(args) -> int:
-    point = PointSpec(args.k, args.n, args.alpha, args.r, args.p)
-    rows = estimator_comparison([point], instances=args.instances,
-                                base_seed=args.seed, method=args.method,
-                                brute_cap=args.cap, jobs=args.jobs)
+    row = estimator_comparison(_params(args), instances=args.instances,
+                               method=args.method, brute_cap=args.cap, jobs=args.jobs)
     with _open(args.output, "w") as fp:
-        emit_csv(COMPARISON_HEADER, rows, fp)
+        emit_csv(COMPARISON_HEADER, [row], fp)
     return 0
 
 
@@ -254,7 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--delta", type=float, default=0.9,
                      help="relative interval half-width in (0, 1]")
     sub.add_argument("--divisor", type=int, default=2, help="threshold divisor")
-    sub.add_argument("--band", type=float, default=0.005,
+    sub.add_argument("--band", type=float, default=DEFAULT_CRITICAL_BAND,
                      help="CRITICAL band around the critical tightness")
     sub.set_defaults(func=cmd_estimate)
 

@@ -34,15 +34,8 @@ class CountResult:
 
     count: int
     nodes_visited: int
-    method: str  # "brute" | "backtrack" | "external"
+    method: str  # "brute" | "backtrack"
     memo_states: int = 0
-
-
-@dataclass(frozen=True)
-class Decision:
-    answer: bool           # count**divisor >= d**n
-    count: CountResult
-    divisor: int
 
 
 def count_brute(instance: Instance, cap: int = DEFAULT_BRUTE_CAP) -> CountResult:
@@ -54,7 +47,7 @@ def count_brute(instance: Instance, cap: int = DEFAULT_BRUTE_CAP) -> CountResult
     n, d = instance.n, instance.d
     space = d ** n
     if space > cap:
-        raise CapExceeded(f"{d}^{n} = {space} assignments exceeds cap {cap}")
+        raise CapExceeded(f"{d}^{n} assignments exceeds cap {cap}")
     checks = [(c.scope, c.nogoods) for c in instance.constraints]
     count = 0
     for assignment in itertools.product(range(d), repeat=n):
@@ -111,10 +104,9 @@ def count_backtrack(instance: Instance) -> CountResult:
     low = sum(1 << j * d for j in range(n))
     high = low << (d - 1)
 
-    # keep[j][v]: the AND-mask for giving depth j the value v, which narrows
-    # field j to one bit and applies every binary constraint firing at j.
-    keep = [[ones & ~(full << j * d) | 1 << (j * d + v) for v in range(d)]
-            for j in range(n)]
+    # cut[j][v]: the bits of deeper fields that binary constraints firing at
+    # depth j clear when depth j takes the value v.
+    cut = [[0] * d for _ in range(n)]
     tables: list[list[tuple[int, dict[int, int]]]] = [[] for _ in range(n)]
     last_nb = [-1] * n  # deepest neighbour of each depth
     key_mask = [0] * n
@@ -128,9 +120,9 @@ def count_backtrack(instance: Instance) -> CountResult:
             banned = [0] * d
             for ng in c.nogoods:
                 banned[ng[src[0]]] |= 1 << ng[tgt]
-            row = keep[fire]
+            row = cut[fire]
             for v, b in enumerate(banned):
-                row[v] &= ~(b << last * d)
+                row[v] |= b << last * d
             continue
         proj = 0
         for i in src:
@@ -148,6 +140,10 @@ def count_backtrack(instance: Instance) -> CountResult:
                 key_mask[j] |= full << depths[i] * d
 
     branching = [j for j in range(n) if last_nb[j] > j]
+    # keep[j][v]: the AND-mask for giving branching depth j (every firing depth
+    # is one) the value v: it narrows field j to one bit and applies cut[j][v].
+    keep = {j: [ones & ~(full << j * d | cut[j][v]) | 1 << (j * d + v) for v in range(d)]
+            for j in branching}
     finals: list[list[int]] = [[] for _ in range(n)]
     for t in range(n):
         # Field t is final once its deepest neighbour is assigned, and it is
@@ -196,14 +192,11 @@ def count_backtrack(instance: Instance) -> CountResult:
                        memo_states=states)
 
 
-def decide_from_count(count: CountResult | int, d: int, n: int,
-                      divisor: int = 2) -> Decision:
-    """Threshold decision for an already-computed count (exact integers only)."""
-    if isinstance(count, int):
-        count = CountResult(count=count, nodes_visited=0, method="external")
+def decide_from_count(count: int, d: int, n: int, divisor: int = 2) -> bool:
+    """Threshold decision for an already-computed count: count**divisor >= d**n,
+    in exact integers only."""
     if not isinstance(divisor, int) or divisor < 2:
         raise ValueError(f"divisor must be an integer >= 2, got {divisor}")
-    if count.count < 0:
+    if count < 0:
         raise ValueError("count must be >= 0")
-    answer = count.count ** divisor >= d ** n
-    return Decision(answer=answer, count=count, divisor=divisor)
+    return count ** divisor >= d ** n

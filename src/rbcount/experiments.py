@@ -1,11 +1,11 @@
 """Grid experiments over the random instance family.
 
-Sweeps over p or r, and tables of exact counts against the closed-form mean
-at fixed points, share one pipeline: ``count_batch`` generates and counts
-each point's seeded batch (in one process pool per run for ``jobs`` > 1)
-and ``emit_csv`` writes the dataclass rows.  Seeds for instance (point,
-index) pairs are derived with the same 64-bit mix the generator uses, so
-results are reproducible and independent of worker count.
+Sweeps over p or r, and tables of exact counts against the closed-form mean,
+start from one ``RbParams`` point and share one pipeline: ``count_batch``
+generates and counts each point's seeded batch (in one process pool per run
+for ``jobs`` > 1) and ``emit_csv`` writes the dataclass rows.  Instance seeds
+mix the point's seed with the (point, index) pair as the generator mixes its
+draws, so results are reproducible and independent of worker count.
 """
 
 from __future__ import annotations
@@ -20,8 +20,8 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence, TextIO
 
-from .exact_count import (CapExceeded, CountResult, count_backtrack, count_brute,
-                          decide_from_count)
+from .exact_count import (DEFAULT_BRUTE_CAP, CapExceeded, CountResult, count_backtrack,
+                          count_brute, decide_from_count)
 from .rb_model import (Instance, RbParams, derive_sizes, effective_tightness, generate,
                        mix64)
 from .theory import critical_density, critical_tightness, expected_count
@@ -33,25 +33,25 @@ CSV_HEADER = ("p,p_eff,yes_fraction,mean_count_log,median_count_log,mean_nodes,"
 @dataclass(frozen=True)
 class SweepConfig:
     """A one-dimensional grid over tightness p (vary="p") or density r
-    (vary="r"), everything else held fixed."""
+    (vary="r") from the base point, everything else held fixed.
 
-    k: int
-    n: int
-    alpha: float
-    r: float                 # fixed density when vary == "p"
-    grid_start: float
+    The base point's varied field is the grid start, and its seed seeds the
+    instances of every grid point.
+    """
+
+    base: RbParams
     grid_stop: float
     grid_step: float
     vary: str = "p"
-    p: float = 0.5           # fixed tightness when vary == "r"
     divisor: int = 2
     instances_per_point: int = 100
-    base_seed: int = 0
     method: str = "backtrack"
-    brute_cap: int = 10 ** 8
+    brute_cap: int = DEFAULT_BRUTE_CAP
     jobs: int = 1
 
     def __post_init__(self):
+        if self.vary not in ("p", "r"):
+            raise ValueError(f"vary must be 'p' or 'r', got {self.vary!r}")
         _check_instances(self.instances_per_point)
 
 
@@ -100,21 +100,13 @@ def instance_seed(base_seed: int, point_index: int, instance_index: int) -> int:
     return mix64(base_seed, point_index, instance_index)
 
 
-def _point_params(config: SweepConfig, value: float) -> RbParams:
-    if config.vary == "p":
-        return RbParams(config.k, config.n, config.alpha, config.r, value)
-    if config.vary == "r":
-        return RbParams(config.k, config.n, config.alpha, value, config.p)
-    raise ValueError(f"vary must be 'p' or 'r', got {config.vary!r}")
-
-
 def critical_value(config: SweepConfig) -> float:
     """The critical point on the swept axis: the critical tightness at the fixed
     r, or the critical density at the fixed p's effective tightness."""
+    base = config.base
     if config.vary == "p":
-        return critical_tightness(config.alpha, config.r, config.divisor)
-    p_eff = effective_tightness(_point_params(config, config.grid_start))
-    return critical_density(config.alpha, p_eff, config.divisor)
+        return critical_tightness(base.alpha, base.r, config.divisor)
+    return critical_density(base.alpha, effective_tightness(base), config.divisor)
 
 
 def count_instance(instance: Instance, method: str, cap: int) -> CountResult:
@@ -147,9 +139,9 @@ def _pool(jobs: int) -> contextlib.AbstractContextManager:
             else contextlib.nullcontext())
 
 
-def _point_batch(base: RbParams, base_seed: int, point_index: int,
-                 instances: int) -> list[RbParams]:
-    return [dataclasses.replace(base, seed=instance_seed(base_seed, point_index, ii))
+def _point_batch(point: RbParams, index: int, instances: int) -> list[RbParams]:
+    """The point's instances at grid or table index ``index``, seeded from point.seed."""
+    return [dataclasses.replace(point, seed=instance_seed(point.seed, index, ii))
             for ii in range(instances)]
 
 
@@ -178,23 +170,24 @@ def sweep_tightness(config: SweepConfig,
     Rows come back in grid order regardless of config.jobs; identical configs
     give identical rows (wall_ms aside).
     """
-    values = grid_values(config.grid_start, config.grid_stop, config.grid_step)
+    vary = config.vary
+    values = grid_values(getattr(config.base, vary), config.grid_stop, config.grid_step)
     rows = []
     with _pool(config.jobs) as pool:
         for gi, value in enumerate(values):
-            base = _point_params(config, value)
-            batch = _point_batch(base, config.base_seed, gi, config.instances_per_point)
+            point = dataclasses.replace(config.base, **{vary: value})
+            batch = _point_batch(point, gi, config.instances_per_point)
             started = time.perf_counter()
             results = count_batch(batch, config.method, config.brute_cap, pool)
             wall_ms = (time.perf_counter() - started) * 1000.0
             done = [res for res in results if res is not None]
             counts = [res.count for res in done]
-            d = derive_sizes(base).d
+            d = derive_sizes(point).d
             yes = sum(1 for res in done
-                      if decide_from_count(res, d, config.n, config.divisor).answer)
+                      if decide_from_count(res.count, d, point.n, config.divisor))
             row = SweepRow(
                 p=value,
-                p_eff=effective_tightness(base),
+                p_eff=effective_tightness(point),
                 yes_fraction=yes / config.instances_per_point,
                 mean_count_log=_log_mean(counts),
                 median_count_log=_log_median(counts) if counts else -math.inf,
@@ -224,17 +217,6 @@ def crossing_point(rows: Sequence[SweepRow]) -> float | None:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PointSpec:
-    """One fully specified parameter point for a table row."""
-
-    k: int
-    n: int
-    alpha: float
-    r: float
-    p: float
-
-
 TABLE_HEADER = ("k", "n", "alpha", "r", "p", "p_eff", "instances")
 COMPARISON_HEADER = TABLE_HEADER + ("mean_count", "mean_count_log", "expected", "log_expected")
 
@@ -243,76 +225,72 @@ def accuracy_header(deltas: Sequence[float]) -> tuple[str, ...]:
     return TABLE_HEADER + tuple(f"coverage_delta_{_fmt(d)}" for d in deltas)
 
 
-def _table_points(points: Iterable[PointSpec], instances: int, base_seed: int,
-                  method: str, brute_cap: int, jobs: int) -> list[tuple]:
-    """(point, p_eff, closed-form ExpectedCount at p_eff, exact counts) per
-    point; an instance beyond the brute-force cap raises CapExceeded."""
+def _table_point(point: RbParams, instances: int, method: str, brute_cap: int,
+                 jobs: int) -> tuple:
+    """The row's leading cells (k, n, alpha, r, p, p_eff, instances), the
+    closed-form ExpectedCount at p_eff and the exact counts of the point's
+    instances; an instance beyond the brute-force cap raises CapExceeded."""
     _check_instances(instances)
-    out = []
     with _pool(jobs) as pool:
-        for pi, point in enumerate(points):
-            base = RbParams(point.k, point.n, point.alpha, point.r, point.p)
-            results = count_batch(_point_batch(base, base_seed, pi, instances),
-                                  method, brute_cap, pool)
-            if any(res is None for res in results):
-                raise CapExceeded("an instance exceeded the enumeration cap")
-            sizes = derive_sizes(base)
-            p_eff = effective_tightness(base)
-            out.append((point, p_eff, expected_count(point.n, sizes.d, sizes.m, p_eff),
-                        [res.count for res in results]))
-    return out
+        results = count_batch(_point_batch(point, 0, instances), method, brute_cap, pool)
+    if any(res is None for res in results):
+        raise CapExceeded("an instance exceeded the enumeration cap")
+    sizes = derive_sizes(point)
+    p_eff = effective_tightness(point)
+    lead = (point.k, point.n, point.alpha, point.r, point.p, p_eff, instances)
+    return lead, expected_count(point.n, sizes.d, sizes.m, p_eff), [res.count for res in results]
 
 
 @dataclass(frozen=True)
-class AccuracyRow:
-    point: PointSpec
+class _TableRow:
+    k: int
+    n: int
+    alpha: float
+    r: float
+    p: float
     p_eff: float
     instances: int
+
+
+@dataclass(frozen=True)
+class AccuracyRow(_TableRow):
     coverage: tuple[float, ...]  # aligned with the delta list
 
 
-def accuracy_table(points: Iterable[PointSpec], deltas: Sequence[float], *,
-                   instances: int = 300, base_seed: int = 0,
-                   method: str = "backtrack", brute_cap: int = 10 ** 8,
-                   jobs: int = 1) -> list[AccuracyRow]:
-    """Fraction of instances whose exact count X lands strictly inside
-    ((1-delta)*E, (1+delta)*E), for each point and each delta; E is the mean
-    count at the point's effective tightness."""
+def accuracy_table(point: RbParams, deltas: Sequence[float], *, instances: int = 300,
+                   method: str = "backtrack", brute_cap: int = DEFAULT_BRUTE_CAP,
+                   jobs: int = 1) -> AccuracyRow:
+    """Fraction of the point's instances whose exact count X lands strictly
+    inside ((1-delta)*E, (1+delta)*E), for each delta; E is the mean count at
+    the point's effective tightness.  point.seed seeds the instances."""
     for delta in deltas:
         if not 0.0 < delta <= 1.0:
             raise ValueError(f"delta must lie in (0, 1], got {delta}")
-    return [
-        AccuracyRow(point=point, p_eff=p_eff, instances=instances, coverage=tuple(
-            sum(1 for x in counts
-                if (1.0 - delta) * mean.expected < x < (1.0 + delta) * mean.expected)
-            / instances
-            for delta in deltas))
-        for point, p_eff, mean, counts in _table_points(
-            points, instances, base_seed, method, brute_cap, jobs)]
+    lead, mean, counts = _table_point(point, instances, method, brute_cap, jobs)
+    return AccuracyRow(*lead, coverage=tuple(
+        sum(1 for x in counts
+            if (1.0 - delta) * mean.expected < x < (1.0 + delta) * mean.expected)
+        / instances
+        for delta in deltas))
 
 
 @dataclass(frozen=True)
-class ComparisonRow:
-    point: PointSpec
-    p_eff: float
-    instances: int
+class ComparisonRow(_TableRow):
     mean_count: float       # sample mean of the exact counts
     mean_count_log: float
     expected: float         # closed-form mean at the effective tightness
     log_expected: float
 
 
-def estimator_comparison(points: Iterable[PointSpec], *, instances: int = 300,
-                         base_seed: int = 0, method: str = "backtrack",
-                         brute_cap: int = 10 ** 8, jobs: int = 1) -> list[ComparisonRow]:
-    """Sample mean of exact counts next to the closed-form mean, per point."""
-    return [
-        ComparisonRow(point=point, p_eff=p_eff, instances=instances,
-                      mean_count=sum(counts) / len(counts),
-                      mean_count_log=_log_mean(counts),
-                      expected=mean.expected, log_expected=mean.log_expected)
-        for point, p_eff, mean, counts in _table_points(
-            points, instances, base_seed, method, brute_cap, jobs)]
+def estimator_comparison(point: RbParams, *, instances: int = 300,
+                         method: str = "backtrack", brute_cap: int = DEFAULT_BRUTE_CAP,
+                         jobs: int = 1) -> ComparisonRow:
+    """Sample mean of the point's exact counts next to the closed-form mean;
+    point.seed seeds the instances."""
+    lead, mean, counts = _table_point(point, instances, method, brute_cap, jobs)
+    return ComparisonRow(*lead, mean_count=sum(counts) / len(counts),
+                         mean_count_log=_log_mean(counts),
+                         expected=mean.expected, log_expected=mean.log_expected)
 
 
 # ---------------------------------------------------------------------------
@@ -408,23 +386,20 @@ def sweep_manifest(config: SweepConfig) -> dict:
     d is constant along either axis; m only along p, so it is recorded
     only there.
     """
-    sizes = derive_sizes(_point_params(config, grid_values(
-        config.grid_start, config.grid_stop, config.grid_step)[0]))
+    base, vary = config.base, config.vary
+    sizes = derive_sizes(base)
     entries = {
         "experiment": "sweep",
-        "k": config.k, "n": config.n, "alpha": config.alpha,
-        "grid_start": config.grid_start, "grid_stop": config.grid_stop,
-        "grid_step": config.grid_step, "vary": config.vary,
+        "k": base.k, "n": base.n, "alpha": base.alpha,
+        "grid_start": getattr(base, vary), "grid_stop": config.grid_stop,
+        "grid_step": config.grid_step, "vary": vary,
         "divisor": config.divisor,
         "instances_per_point": config.instances_per_point,
-        "base_seed": config.base_seed, "method": config.method,
+        "base_seed": base.seed, "method": config.method,
         "jobs": config.jobs, "d": sizes.d,
     }
-    if config.vary == "p":
-        entries["m"] = sizes.m
-        entries["r"] = config.r
-        entries["critical_tightness"] = critical_value(config)
+    if vary == "p":
+        entries.update(m=sizes.m, r=base.r, critical_tightness=critical_value(config))
     else:
-        entries["p"] = config.p
-        entries["critical_density"] = critical_value(config)
+        entries.update(p=base.p, critical_density=critical_value(config))
     return entries

@@ -1,4 +1,4 @@
-"""Random binary-domain CSP instances in the Model RB family.
+"""Random CSP instances of the Model RB family: k-ary constraints over d values.
 
 An instance has n variables sharing the domain {0, ..., d-1} and m
 constraints; each constraint names a k-subset of the variables (its scope)

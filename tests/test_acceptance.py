@@ -17,7 +17,7 @@ import pytest
 
 from rbcount.cnf_encode import count_models, encode_direct
 from rbcount.exact_count import count_backtrack, count_brute
-from rbcount.experiments import (PointSpec, SweepConfig, accuracy_table,
+from rbcount.experiments import (SweepConfig, accuracy_table,
                                  crossing_point, instance_seed, sweep_tightness)
 from rbcount.rb_model import RbParams, derive_sizes, generate
 from rbcount.theory import (critical_tightness, expected_count, h_eval,
@@ -83,9 +83,9 @@ def test_criterion_2_published_threshold_values():
 def transition_sweeps():
     out = {}
     for n in (7, 10):
-        config = SweepConfig(k=2, n=n, alpha=0.8, r=1.7, grid_start=0.05,
+        config = SweepConfig(RbParams(k=2, n=n, alpha=0.8, r=1.7, p=0.05, seed=0),
                              grid_stop=0.45, grid_step=0.02, divisor=2,
-                             instances_per_point=100, base_seed=0)
+                             instances_per_point=100)
         started = time.perf_counter()
         rows = sweep_tightness(config)
         out[n] = (rows, time.perf_counter() - started)
@@ -171,8 +171,7 @@ def test_criterion_5_sample_mean_matches_closed_form():
 
 def test_criterion_6_interval_coverage():
     deltas = (0.5, 0.6, 0.7, 0.8, 0.9)
-    (row,) = accuracy_table([PointSpec(2, 7, 0.8, 1.5, 0.3)], deltas,
-                            instances=300, base_seed=0)
+    row = accuracy_table(RbParams(2, 7, 0.8, 1.5, 0.3, seed=0), deltas, instances=300)
     monotone = all(a <= b for a, b in zip(row.coverage, row.coverage[1:]))
     top = row.coverage[-1] * 100.0
     ok = monotone and abs(top - 83.33) <= 15.0

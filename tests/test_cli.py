@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import io
 import pathlib
+import sys
 
 import pytest
 
@@ -197,6 +198,48 @@ def test_deep_instance_is_a_runtime_error(tmp_path, capsys):
     code, out, err = run(["count", str(chain)], capsys)
     assert code == 2 and out == ""
     assert err.startswith("rbcount: error: ") and err.count("\n") == 1
+
+
+@pytest.fixture
+def huge_count_file(tmp_path):
+    # no constraints: every one of the 10^5000 assignments is a solution
+    path = tmp_path / "free.rbcsp"
+    path.write_text("rbcsp 1\nn 5000 d 10 k 2 m 0\n")
+    return str(path)
+
+
+def test_huge_counts_print_exactly(huge_count_file, capsys):
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    code, out, _ = run(["count", huge_count_file], capsys)
+    assert code == 0
+    assert out.splitlines()[0] == "1" + "0" * 5000
+    code, out, _ = run(["decide", huge_count_file], capsys)
+    assert code == 0
+    assert out.splitlines()[:2] == ["YES", "count 1" + "0" * 5000]
+    # the process-wide int-string limit is back where it was
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+
+
+def test_brute_cap_error_names_the_space_not_its_digits(huge_count_file, capsys):
+    code, out, err = run(["count", huge_count_file, "--method", "brute"], capsys)
+    assert code == 2 and out == ""
+    (line,) = err.splitlines()
+    assert line == "rbcount: error: 10^5000 assignments exceeds cap 100000000"
+    assert len(line) < 200
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2 ** 64)])
+@pytest.mark.parametrize("command", [
+    ["sweep", "--start", "0.1", "--stop", "0.3", "--step", "0.2"],
+    ["accuracy", "-p", "0.2"],
+    ["compare", "-p", "0.2"],
+    ["gen", "-p", "0.2"],
+])
+def test_seed_outside_64_bits_exit_2(command, seed, capsys):
+    code, out, err = run(command + ["-k", "2", "-n", "5", "-a", "0.8", "-r", "1.5",
+                                    "--seed", seed], capsys)
+    assert code == 2 and out == ""
+    assert err.splitlines() == ["rbcount: error: seed must fit in 64 bits"]
 
 
 def test_accuracy_csv(tmp_path, capsys):

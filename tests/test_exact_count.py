@@ -217,14 +217,14 @@ def test_decide_matches_integer_root_threshold():
                       rng.randint(0, d ** n + 1)):
             if count < 0:
                 continue
-            decision = decide_from_count(count, d, n, divisor)
-            assert decision.answer == (count >= ceiling), (d, n, divisor, count)
+            answer = decide_from_count(count, d, n, divisor)
+            assert answer == (count >= ceiling), (d, n, divisor, count)
 
 
 def test_decide_boundary_is_exact_for_perfect_squares():
     # d^n square: count == d^(n/2) answers YES, one less answers NO
-    assert decide_from_count(7776, 6, 10, 2).answer
-    assert not decide_from_count(7775, 6, 10, 2).answer
+    assert decide_from_count(7776, 6, 10, 2) is True
+    assert decide_from_count(7775, 6, 10, 2) is False
 
 
 def test_decide_rejects_bad_divisor():

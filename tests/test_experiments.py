@@ -11,7 +11,7 @@ import pytest
 
 from rbcount.exact_count import CapExceeded, count_backtrack, decide_from_count
 from rbcount.experiments import (COMPARISON_HEADER, CSV_HEADER, AccuracyRow,
-                                 PointSpec, SweepConfig, SweepRow,
+                                 SweepConfig, SweepRow,
                                  accuracy_header, accuracy_table,
                                  crossing_point, emit_csv, emit_svg_plot,
                                  estimator_comparison, grid_values,
@@ -20,7 +20,7 @@ from rbcount.experiments import (COMPARISON_HEADER, CSV_HEADER, AccuracyRow,
 from rbcount.rb_model import RbParams, derive_sizes, generate
 from rbcount.theory import critical_density, expected_count, second_moment_ratio
 
-TINY = SweepConfig(k=2, n=5, alpha=0.8, r=1.5, grid_start=0.1, grid_stop=0.5,
+TINY = SweepConfig(RbParams(k=2, n=5, alpha=0.8, r=1.5, p=0.1), grid_stop=0.5,
                    grid_step=0.1, instances_per_point=20)
 
 
@@ -57,25 +57,26 @@ def test_grid_values_validation():
 
 def test_sweep_rows_match_by_hand_recount():
     rows = sweep_tightness(TINY)
-    values = grid_values(TINY.grid_start, TINY.grid_stop, TINY.grid_step)
+    base = TINY.base
+    values = grid_values(base.p, TINY.grid_stop, TINY.grid_step)
     assert [row.p for row in rows] == values
 
     # regenerate grid point 0 from scratch and reproduce every statistic
     gi = 0
-    params0 = RbParams(TINY.k, TINY.n, TINY.alpha, TINY.r, values[gi])
+    params0 = RbParams(base.k, base.n, base.alpha, base.r, values[gi])
     sizes = derive_sizes(params0)
     counts, nodes = [], []
     for ii in range(TINY.instances_per_point):
-        seed = instance_seed(TINY.base_seed, gi, ii)
-        inst = generate(RbParams(TINY.k, TINY.n, TINY.alpha, TINY.r,
+        seed = instance_seed(base.seed, gi, ii)
+        inst = generate(RbParams(base.k, base.n, base.alpha, base.r,
                                  values[gi], seed))
         res = count_backtrack(inst)
         counts.append(res.count)
         nodes.append(res.nodes_visited)
     row = rows[gi]
-    assert row.p_eff == sizes.t_nogoods / sizes.d ** TINY.k
+    assert row.p_eff == sizes.t_nogoods / sizes.d ** base.k
     yes = sum(1 for c in counts
-              if decide_from_count(c, sizes.d, TINY.n, TINY.divisor).answer)
+              if decide_from_count(c, sizes.d, base.n, TINY.divisor))
     assert row.yes_fraction == yes / TINY.instances_per_point
     assert row.mean_count_log == pytest.approx(
         math.log(sum(counts) / len(counts)), rel=1e-12)
@@ -108,8 +109,8 @@ def test_sweep_methods_agree_on_counts():
 
 
 def test_sweep_over_density_axis():
-    config = SweepConfig(k=2, n=5, alpha=0.8, r=0.0, grid_start=0.5,
-                         grid_stop=1.5, grid_step=0.5, vary="r", p=0.2,
+    config = SweepConfig(RbParams(k=2, n=5, alpha=0.8, r=0.5, p=0.2),
+                         grid_stop=1.5, grid_step=0.5, vary="r",
                          instances_per_point=5)
     rows = sweep_tightness(config)
     assert [row.p for row in rows] == [0.5, 1.0, 1.5]  # grid value in the p slot
@@ -132,6 +133,8 @@ def test_sweep_rejects_unknown_method_and_axis():
         sweep_tightness(dataclasses.replace(TINY, method="guess"))
     with pytest.raises(ValueError):
         sweep_tightness(dataclasses.replace(TINY, vary="q"))
+    with pytest.raises(ValueError, match="vary must be 'p' or 'r'"):
+        SweepConfig(TINY.base, grid_stop=0.5, grid_step=0.1, vary="alpha")
 
 
 def test_sweep_progress_callback_sees_rows_in_order():
@@ -171,21 +174,18 @@ def test_crossing_point_takes_first_crossing():
 
 def test_accuracy_coverage_grows_with_interval_width():
     deltas = (0.3, 0.5, 0.7, 0.9)
-    rows = accuracy_table([PointSpec(2, 6, 0.8, 1.5, 0.25)], deltas,
-                          instances=120)
-    (row,) = rows
+    row = accuracy_table(RbParams(2, 6, 0.8, 1.5, 0.25), deltas, instances=120)
     assert row.instances == 120
     assert len(row.coverage) == len(deltas)
     for narrow, wide in zip(row.coverage, row.coverage[1:]):
         assert narrow <= wide
     assert all(0.0 <= c <= 1.0 for c in row.coverage)
-    again = accuracy_table([PointSpec(2, 6, 0.8, 1.5, 0.25)], deltas,
-                           instances=120)
-    assert again == rows
+    again = accuracy_table(RbParams(2, 6, 0.8, 1.5, 0.25), deltas, instances=120)
+    assert again == row
 
 
 def test_accuracy_table_rejects_bad_delta():
-    point = [PointSpec(2, 5, 0.8, 1.5, 0.2)]
+    point = RbParams(2, 5, 0.8, 1.5, 0.2)
     with pytest.raises(ValueError):
         accuracy_table(point, [0.0])
     with pytest.raises(ValueError):
@@ -194,24 +194,34 @@ def test_accuracy_table_rejects_bad_delta():
 
 def test_accuracy_table_propagates_cap():
     with pytest.raises(CapExceeded):
-        accuracy_table([PointSpec(2, 5, 0.8, 1.5, 0.2)], [0.5], instances=3,
+        accuracy_table(RbParams(2, 5, 0.8, 1.5, 0.2), [0.5], instances=3,
                        method="brute", brute_cap=10)
 
 
 @pytest.mark.parametrize("table", [
-    lambda **kw: accuracy_table([PointSpec(2, 5, 0.8, 1.5, 0.2)], [0.5], **kw),
-    lambda **kw: estimator_comparison([PointSpec(2, 5, 0.8, 1.5, 0.2)], **kw),
+    lambda **kw: accuracy_table(RbParams(2, 5, 0.8, 1.5, 0.2), [0.5], **kw),
+    lambda **kw: estimator_comparison(RbParams(2, 5, 0.8, 1.5, 0.2), **kw),
 ], ids=["accuracy", "comparison"])
 def test_tables_reject_unknown_method(table):
     with pytest.raises(ValueError, match="unknown counting method"):
         table(instances=3, method="guess")
 
 
+def test_tables_seed_instances_from_the_point():
+    point = RbParams(2, 5, 0.8, 1.5, 0.2, seed=7)
+    row = estimator_comparison(point, instances=6)
+    counts = [count_backtrack(generate(dataclasses.replace(
+        point, seed=instance_seed(7, 0, ii)))).count for ii in range(6)]
+    assert row.mean_count == sum(counts) / 6
+    assert estimator_comparison(dataclasses.replace(point, seed=8),
+                                instances=6).mean_count != row.mean_count
+
+
 def test_estimator_comparison_mean_tracks_closed_form():
-    point = PointSpec(2, 6, 0.8, 1.5, 0.25)
+    point = RbParams(2, 6, 0.8, 1.5, 0.25)
     instances = 200
-    (row,) = estimator_comparison([point], instances=instances)
-    sizes = derive_sizes(RbParams(point.k, point.n, point.alpha, point.r, point.p))
+    row = estimator_comparison(point, instances=instances)
+    sizes = derive_sizes(point)
     p_eff = sizes.t_nogoods / sizes.d ** point.k
     assert row.p_eff == p_eff
     expected = expected_count(point.n, sizes.d, sizes.m, p_eff).expected
@@ -249,7 +259,7 @@ def test_csv_header_and_round_trip():
 
 
 def test_accuracy_csv_shape():
-    row = AccuracyRow(point=PointSpec(2, 5, 0.8, 1.5, 0.2), p_eff=0.1875,
+    row = AccuracyRow(k=2, n=5, alpha=0.8, r=1.5, p=0.2, p_eff=0.1875,
                       coverage=(0.5, 0.75), instances=40)
     out = io.StringIO()
     emit_csv(accuracy_header((0.5, 0.9)), [row], out)
@@ -260,7 +270,7 @@ def test_accuracy_csv_shape():
 
 
 def test_comparison_csv_shape():
-    (row,) = estimator_comparison([PointSpec(2, 5, 0.8, 1.5, 0.2)], instances=10)
+    row = estimator_comparison(RbParams(2, 5, 0.8, 1.5, 0.2), instances=10)
     out = io.StringIO()
     emit_csv(COMPARISON_HEADER, [row], out)
     header, body = out.getvalue().splitlines()
@@ -320,7 +330,7 @@ def test_sweep_manifest_for_tightness_axis():
 
 
 def test_sweep_manifest_for_density_axis():
-    config = dataclasses.replace(TINY, vary="r", p=0.2, grid_start=0.5,
+    config = dataclasses.replace(TINY, base=RbParams(2, 5, 0.8, 0.5, 0.2), vary="r",
                                  grid_stop=1.5, grid_step=0.5)
     entries = sweep_manifest(config)
     assert entries["vary"] == "r"
