@@ -7,6 +7,10 @@ move the digest.  The sweep's SVG and manifest are pinned byte for byte on
 both axes, the manifest without its host-dependent python_version line.
 Every config runs in this process (--jobs 1) and through a process pool
 (--jobs 2); both must give the same bytes (the manifest records jobs).
+The generator is pinned on its own: the written text of one instance per
+(params, seed) pair, over arities 2..5, domains of 10 and more, seeds at
+both ends of the 64-bit range, and a point whose d^k exceeds 2^64, so
+nogood indices take more than one word to draw.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ import io
 import pytest
 
 from rbcount.cli import main
+from rbcount.rb_model import RbParams, generate, write_instance
 
 POINT = ["-k", "2", "-n", "6", "-a", "0.8", "-r", "1.5", "-p", "0.25"]
 POINT_K3 = ["-k", "3", "-n", "6", "-a", "0.8", "-r", "1.0", "-p", "0.1"]
@@ -47,6 +52,52 @@ SWEEP_EXTRAS = {
           {1: "9e1908b22d9241caadc59f0d2810e93ba07a8f1a64b4a16f2013365eb933c4fe",
            2: "716d8a64f26b60899e54f3aa02439dccb86e7c2500b7275342b8f015936ef99e"}),
 }
+
+TOP_SEED = 2 ** 64 - 1
+MID_SEED = 2 ** 63 + 5
+# ((k, n, alpha, r, p), seed, digest); comments give the derived d, m, t_nogoods
+GENERATED = [
+    ((2, 7, 0.8, 1.7, 0.05), 0,  # d=5 m=23 t=1
+     "e22f42fb16d660fd82d06bac967535a4994e6986eb828e220a65440490e06708"),
+    ((2, 7, 0.8, 1.7, 0.05), MID_SEED,
+     "63a2da91382d6ca7042f71df6303d4c064a2916799e7416689f0c6fd387e5552"),
+    ((2, 7, 0.8, 1.7, 0.25), 1,  # t=6
+     "06495d804a9f69548363078c67828501b7cf756307c81e900ea1b3dadba5e5cc"),
+    ((2, 7, 0.8, 1.7, 0.45), MID_SEED,  # t=11
+     "c84e8ae99705deb5c97f16a450f07f521432e2ee638f22191cbf766dc6578ba4"),
+    ((2, 10, 0.8, 1.7, 0.21), TOP_SEED,  # d=6 m=39 t=8
+     "10b040d2b6b677b39060933ef2963052556f9ac13296c69ade6d717929d77cb7"),
+    ((2, 10, 0.8, 1.7, 0.21), 1,
+     "8529bbfabe722694b791212d0c460a44eafccc941fd7dee32bb853f56679b2c6"),
+    ((2, 20, 0.8, 1.0, 0.3), 0,  # d=11 m=60 t=36
+     "0d10b022fb6e8b50f867c4537dadf4d2ba6d135a340af0522291e2a68709e4d1"),
+    ((2, 16, 0.85, 0.6, 0.9), 1,  # d=11 m=27 t=109
+     "90951eb3194f4998aea3c24c87887bb91ba124b1512f7836994c87cef901a156"),
+    ((3, 15, 0.85, 0.5, 0.1), MID_SEED,  # d=10 m=20 t=100
+     "f5a6f807ec52c9dcff74a5734a47c5eb3d76a106e843a432e5670eaf9e345582"),
+    ((3, 15, 0.85, 0.5, 0.1), 0,
+     "c4c451d19cea0a20006a4a636e61d0a9651e4fb4b592992f26f39db3531587a7"),
+    ((3, 9, 1.05, 0.7, 0.02), TOP_SEED,  # d=10 m=14 t=20
+     "205bc074b921b6e4e04ba9ea835650b4e91508202ba9d99ce1eb2228f6f968eb"),
+    ((3, 5, 0.9, 2.0, 0.6), 0,  # d=4 m=16 t=38
+     "382b4b22647b9aa4ea81372168f8e5ad923810426008aa69a037027418f18e59"),
+    ((4, 10, 1.0, 0.5, 0.01), 1,  # d=10 m=12 t=100
+     "ca94d3d7c35f917a7a89fd9a23e684a3026b2ed08039fd280feb6e7f12cb82b8"),
+    ((4, 10, 1.0, 0.5, 0.01), TOP_SEED,
+     "1a1ad42041c17535f5b037b7806f55cb76e67efe4832a8d0c7ea2533f7700307"),
+    ((4, 6, 1.3, 0.5, 0.003), MID_SEED,  # d=10 m=5 t=30
+     "d3483954604deba6845fc2eb86b994d47c197da811c0454db1851c520d94a8c0"),
+    ((5, 8, 1.1, 0.5, 0.001), TOP_SEED,  # d=10 m=8 t=100
+     "e8067290fd4276a0af373aa13dcc6bb6b91bb4791882b74ebcad8a4aab23b587"),
+    ((5, 5, 1.45, 0.4, 0.0002), 0,  # d=10 m=3 t=20
+     "344106286c9b117aeb2e5b4b1893feb93a7488ef87df35d458e8022795cd2610"),
+    ((5, 5, 1.45, 0.4, 0.0002), MID_SEED,
+     "dc8b3732fe8337f996d94acefc6057c60d05584b07a2c65d2bb7ed64f00e39f7"),
+    ((12, 12, 1.9, 0.5, 1e-30), 1,  # d=112 m=15 t=1, d^k > 2^64
+     "bb570a22baca6008ce1ba8b1252883e3f5c2f5ce5acabac7afc79da67dc8ca54"),
+    ((12, 12, 1.9, 0.5, 1e-30), TOP_SEED,
+     "b5454769047c2177f998184c574c03224ed400c44fe101bb2443af794f2b6694"),
+]
 
 
 def sha256(data: bytes) -> str:
@@ -87,3 +138,10 @@ def test_sweep_svg_and_manifest_are_pinned(axis, jobs, tmp_path, capsys):
     kept = b"".join(line for line in lines if not line.startswith(b"python_version = "))
     assert len(kept) < sum(map(len, lines))  # the dropped line was there
     assert sha256(kept) == manifest_digests[jobs]
+
+
+@pytest.mark.parametrize("point,seed,digest", GENERATED)
+def test_generated_instance_bytes_are_pinned(point, seed, digest):
+    sink = io.StringIO()
+    write_instance(generate(RbParams(*point, seed=seed)), sink)
+    assert sha256(sink.getvalue().encode()) == digest

@@ -10,9 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rbcount.rb_model import (Constraint, DerivedSizes, Instance,
+from rbcount.rb_model import (Constraint, DerivedSizes, DrawStream, Instance,
                               InstanceFormatError, RbParams, derive_sizes,
-                              effective_tightness, generate, read_instance,
+                              effective_tightness, generate, mix64, read_instance,
                               round_half_up, theorem_applicability,
                               write_instance)
 
@@ -80,6 +80,15 @@ def test_effective_tightness_reflects_rounding():
 
 
 # === the generator ===
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2 ** 64 - 1), stream_id=st.integers(0, 2 ** 64 - 1),
+       words=st.integers(1, 40))
+def test_stream_word_i_is_mix64_of_seed_stream_and_i(seed, stream_id, words):
+    stream = DrawStream(seed, stream_id)
+    assert ([stream.next_word() for _ in range(words)]
+            == [mix64(seed, stream_id, i) for i in range(words)])
 
 
 def test_generate_is_deterministic():
