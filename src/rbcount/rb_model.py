@@ -55,17 +55,22 @@ def mix64(*words: int) -> int:
 
 
 class DrawStream:
-    """Counter-based random stream: word i is mix64(seed, stream_id, i)."""
+    """Counter-based random streams of one seed.  select(c) starts stream c,
+    whose word i is mix64(seed, c, i): as mix64 absorbs words in order, that is
+    the one round mix64(state ^ i) from the absorbed state = mix64(seed, c)."""
 
-    __slots__ = ("seed", "stream_id", "counter")
+    __slots__ = ("seed_state", "state", "counter")
 
-    def __init__(self, seed: int, stream_id: int):
-        self.seed = seed
-        self.stream_id = stream_id
+    def __init__(self, seed: int, stream_id: int = 0):
+        self.seed_state = mix64(seed)
+        self.select(stream_id)
+
+    def select(self, stream_id: int) -> None:
+        self.state = mix64(self.seed_state ^ stream_id)
         self.counter = 0
 
     def next_word(self) -> int:
-        w = mix64(self.seed, self.stream_id, self.counter)
+        w = mix64(self.state ^ self.counter)
         self.counter += 1
         return w
 
@@ -224,16 +229,31 @@ class Instance:
 def _draw_distinct(stream: DrawStream, bound: int, count: int) -> set[int]:
     # Rejection on repeats: uniform over count-subsets of [0, bound).
     seen: set[int] = set()
+    if not 2 <= bound <= 1 << 64:  # a draw takes several words, or none
+        while len(seen) < count:
+            seen.add(stream.below(bound))
+        return seen
+    # stream.below(bound), one word a draw, with next_word's round written out
+    shift = 64 - (bound - 1).bit_length()
+    state, i = stream.state, stream.counter
     while len(seen) < count:
-        seen.add(stream.below(bound))
+        h = ((state ^ i) + _GOLDEN) & MASK64
+        h = ((h ^ (h >> 30)) * _MIX1) & MASK64
+        h = ((h ^ (h >> 27)) * _MIX2) & MASK64
+        u = (h ^ (h >> 31)) >> shift
+        i += 1
+        if u < bound:
+            seen.add(u)
+    stream.counter = i
     return seen
 
 
 def _decode_tuple(index: int, d: int, k: int) -> tuple[int, ...]:
+    if k == 2:
+        return divmod(index, d)
     vals = [0] * k
     for i in range(k - 1, -1, -1):
-        vals[i] = index % d
-        index //= d
+        index, vals[i] = divmod(index, d)
     return tuple(vals)
 
 
@@ -241,14 +261,16 @@ def generate(params: RbParams) -> Instance:
     """Generate an instance: m uniform scopes, each with t_nogoods distinct
     forbidden tuples drawn uniformly without replacement.
 
-    Scopes are sampled with repetition (two constraints may share a scope).
-    Pure in (params, seed): equal parameters give equal instances.
+    Constraint c draws its scope, then its nogoods, from stream c, whose word i
+    is mix64(seed, c, i), one round from the absorbed state (see DrawStream).
+    Scopes may repeat across constraints; equal parameters give equal instances.
     """
     sizes = derive_sizes(params)
     k, d = params.k, sizes.d
+    stream = DrawStream(params.seed)
     constraints = []
     for ci in range(sizes.m):
-        stream = DrawStream(params.seed, ci)
+        stream.select(ci)
         scope = tuple(sorted(_draw_distinct(stream, params.n, k)))
         drawn = _draw_distinct(stream, d ** k, sizes.t_nogoods)
         nogoods = frozenset(_decode_tuple(i, d, k) for i in drawn)
