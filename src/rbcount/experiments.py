@@ -53,6 +53,16 @@ class SweepConfig:
         if self.vary not in ("p", "r"):
             raise ValueError(f"vary must be 'p' or 'r', got {self.vary!r}")
         _check_instances(self.instances_per_point)
+        _check_jobs(self.jobs)
+        if not isinstance(self.divisor, int) or self.divisor < 2:
+            raise ValueError(f"divisor must be an integer >= 2, got {self.divisor}")
+        self.points()  # each grid point's RbParams checks its own values
+
+    def points(self) -> list[RbParams]:
+        """The grid points in order: the base point with the varied field set."""
+        start = getattr(self.base, self.vary)
+        return [dataclasses.replace(self.base, **{self.vary: value})
+                for value in grid_values(start, self.grid_stop, self.grid_step)]
 
 
 @dataclass(frozen=True)
@@ -86,6 +96,9 @@ def grid_values(start: float, stop: float, step: float) -> list[float]:
         raise ValueError("grid step must be positive")
     if stop < start:
         raise ValueError("grid stop must be >= start")
+    if not all(map(math.isfinite, (start, stop, step, (stop - start) / step))):
+        raise ValueError(f"grid start {start}, stop {stop} and step {step} must be "
+                         "finite and span a finite number of steps")
     npts = int(math.floor((stop - start) / step + 1e-9)) + 1
     return [round(start + i * step, 12) for i in range(npts)]
 
@@ -93,6 +106,11 @@ def grid_values(start: float, stop: float, step: float) -> list[float]:
 def _check_instances(instances: int) -> None:
     if instances < 1:
         raise ValueError(f"instances per point must be >= 1, got {instances}")
+
+
+def _check_jobs(jobs: int) -> None:
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
 
 
 def instance_seed(base_seed: int, point_index: int, instance_index: int) -> int:
@@ -170,12 +188,9 @@ def sweep_tightness(config: SweepConfig,
     Rows come back in grid order regardless of config.jobs; identical configs
     give identical rows (wall_ms aside).
     """
-    vary = config.vary
-    values = grid_values(getattr(config.base, vary), config.grid_stop, config.grid_step)
     rows = []
     with _pool(config.jobs) as pool:
-        for gi, value in enumerate(values):
-            point = dataclasses.replace(config.base, **{vary: value})
+        for gi, point in enumerate(config.points()):
             batch = _point_batch(point, gi, config.instances_per_point)
             started = time.perf_counter()
             results = count_batch(batch, config.method, config.brute_cap, pool)
@@ -186,7 +201,7 @@ def sweep_tightness(config: SweepConfig,
             yes = sum(1 for res in done
                       if decide_from_count(res.count, d, point.n, config.divisor))
             row = SweepRow(
-                p=value,
+                p=getattr(point, config.vary),
                 p_eff=effective_tightness(point),
                 yes_fraction=yes / config.instances_per_point,
                 mean_count_log=_log_mean(counts),
@@ -231,6 +246,7 @@ def _table_point(point: RbParams, instances: int, method: str, brute_cap: int,
     closed-form ExpectedCount at p_eff and the exact counts of the point's
     instances; an instance beyond the brute-force cap raises CapExceeded."""
     _check_instances(instances)
+    _check_jobs(jobs)
     with _pool(jobs) as pool:
         results = count_batch(_point_batch(point, 0, instances), method, brute_cap, pool)
     if any(res is None for res in results):

@@ -120,14 +120,19 @@ class RbParams:
             raise ValueError(f"variable count n must be >= 2, got {self.n}")
         if self.k > self.n:
             raise ValueError(f"arity k={self.k} exceeds variable count n={self.n}")
-        if not self.alpha > 0:
-            raise ValueError(f"alpha must be > 0, got {self.alpha}")
-        if not self.r > 0:
-            raise ValueError(f"density r must be > 0, got {self.r}")
+        if not 0 < self.alpha < math.inf:
+            raise ValueError(f"alpha must be finite and > 0, got {self.alpha}")
+        if not 0 < self.r < math.inf:
+            raise ValueError(f"density r must be finite and > 0, got {self.r}")
         if not 0.0 < self.p < 1.0:
             raise ValueError(f"tightness p must lie in (0, 1), got {self.p}")
         if not 0 <= self.seed <= MASK64:
             raise ValueError("seed must fit in 64 bits")
+        try:
+            derive_sizes(self)
+        except OverflowError:
+            raise ValueError(f"sizes d = n^alpha, m = r*n*ln n or d^k overflow at k={self.k} "
+                             f"n={self.n} alpha={self.alpha} r={self.r}") from None
 
 
 @dataclass(frozen=True)
@@ -153,6 +158,8 @@ def derive_sizes(params: RbParams) -> DerivedSizes:
     """
     d = max(2, round_half_up(params.n ** params.alpha))
     m = max(1, round_half_up(params.r * params.n * math.log(params.n)))
+    if params.k * math.log2(d) > 1025:  # past the float range, so p * d^k overflows
+        raise OverflowError(f"d^k = {d}^{params.k} is too large")
     dk = d ** params.k
     t = min(max(1, round_half_up(params.p * dk)), dk - 1)
     return DerivedSizes(d=d, m=m, t_nogoods=t)

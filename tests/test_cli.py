@@ -280,6 +280,52 @@ def test_zero_instances_exit_2(command, capsys):
                                 ">= 1, got 0"]
 
 
+SMALL = ["-k", "2", "-n", "5", "-a", "0.8"]
+SWEEP_SMALL = ["sweep"] + SMALL + ["-r", "1.5", "--start", "0.1", "--stop", "0.5",
+                                   "--step", "0.2", "--instances", "2"]
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["gen"] + SMALL + ["-r", "inf", "-p", "0.2"],
+     "density r must be finite and > 0, got inf"),
+    (["gen", "-k", "2", "-n", "5", "-a", "inf", "-r", "1", "-p", "0.2"],
+     "alpha must be finite and > 0, got inf"),
+    (["estimate"] + SMALL + ["-r", "1e308", "-p", "0.2"],
+     "sizes d = n^alpha, m = r*n*ln n or d^k overflow at k=2 n=5 alpha=0.8 r=1e+308"),
+    (["gen", "-k", "2", "-n", "5", "-a", "1e6", "-r", "1", "-p", "0.2"],
+     "sizes d = n^alpha, m = r*n*ln n or d^k overflow at k=2 n=5 alpha=1000000.0 r=1.0"),
+    (["gen", "-k", "200", "-n", "200", "-a", "2", "-r", "0.1", "-p", "0.2"],
+     "sizes d = n^alpha, m = r*n*ln n or d^k overflow at k=200 n=200 alpha=2.0 r=0.1"),
+    (SWEEP_SMALL + ["--stop", "inf"],
+     "grid start 0.1, stop inf and step 0.2 must be finite and span a finite "
+     "number of steps"),
+    (SWEEP_SMALL + ["--step", "inf"],
+     "grid start 0.1, stop 0.5 and step inf must be finite and span a finite "
+     "number of steps"),
+])
+def test_overflowing_parameters_exit_2(argv, message, capsys):
+    code, out, err = run(argv, capsys)
+    assert code == 2 and out == ""
+    assert err.splitlines() == ["rbcount: error: " + message]
+
+
+@pytest.mark.parametrize("argv,message", [
+    (SWEEP_SMALL + ["--jobs", "0"], "jobs must be >= 1, got 0"),
+    (SWEEP_SMALL + ["--jobs", "-1"], "jobs must be >= 1, got -1"),
+    (SWEEP_SMALL + ["--divisor", "1"], "divisor must be an integer >= 2, got 1"),
+    (SWEEP_SMALL + ["--stop", "1.2", "--step", "0.3"],
+     "tightness p must lie in (0, 1), got 1.0"),
+    (["accuracy"] + SMALL + ["-r", "1.5", "-p", "0.2", "--jobs", "0"],
+     "jobs must be >= 1, got 0"),
+    (["compare"] + SMALL + ["-r", "1.5", "-p", "0.2", "--jobs", "0"],
+     "jobs must be >= 1, got 0"),
+])
+def test_bad_run_config_exits_2_before_any_progress(argv, message, capsys):
+    code, out, err = run(argv, capsys)
+    assert code == 2 and out == ""
+    assert err.splitlines() == ["rbcount: error: " + message]
+
+
 def test_usage_errors_exit_1(capsys):
     assert run(["count"], capsys)[0] == 1          # missing positional
     assert run(["nonsense"], capsys)[0] == 1       # unknown subcommand

@@ -52,6 +52,15 @@ def test_grid_values_validation():
         grid_values(0.5, 0.1, 0.1)
 
 
+@pytest.mark.parametrize("start,stop,step", [
+    (0.1, math.inf, 0.1), (0.1, 0.3, math.inf), (math.nan, 0.3, 0.1),
+    (-math.inf, 0.3, 0.1), (0.1, math.nan, 0.1), (1e-300, 1e300, 1e-300),
+])
+def test_grid_values_rejects_non_finite_grids(start, stop, step):
+    with pytest.raises(ValueError, match="must be finite and span a finite number"):
+        grid_values(start, stop, step)
+
+
 # === sweeps ===
 
 
@@ -137,6 +146,24 @@ def test_sweep_rejects_unknown_method_and_axis():
         SweepConfig(TINY.base, grid_stop=0.5, grid_step=0.1, vary="alpha")
 
 
+@pytest.mark.parametrize("change,message", [
+    ({"jobs": 0}, "jobs must be >= 1, got 0"),
+    ({"jobs": -1}, "jobs must be >= 1, got -1"),
+    ({"divisor": 1}, "divisor must be an integer >= 2, got 1"),
+    ({"grid_stop": 1.2, "grid_step": 0.3}, r"tightness p must lie in \(0, 1\), got 1.0"),
+    ({"vary": "r", "grid_stop": 1e300, "grid_step": 1e-300}, "finite number of steps"),
+])
+def test_sweep_config_checks_every_grid_point_up_front(change, message):
+    with pytest.raises(ValueError, match=message):
+        dataclasses.replace(TINY, **change)
+
+
+def test_sweep_config_points_follow_the_grid():
+    points = TINY.points()
+    assert [pt.p for pt in points] == grid_values(0.1, 0.5, 0.1)
+    assert {dataclasses.replace(pt, p=0.1) for pt in points} == {TINY.base}
+
+
 def test_sweep_progress_callback_sees_rows_in_order():
     seen = []
     rows = sweep_tightness(dataclasses.replace(TINY, instances_per_point=4),
@@ -205,6 +232,16 @@ def test_accuracy_table_propagates_cap():
 def test_tables_reject_unknown_method(table):
     with pytest.raises(ValueError, match="unknown counting method"):
         table(instances=3, method="guess")
+
+
+@pytest.mark.parametrize("table", [
+    lambda **kw: accuracy_table(RbParams(2, 5, 0.8, 1.5, 0.2), [0.5], **kw),
+    lambda **kw: estimator_comparison(RbParams(2, 5, 0.8, 1.5, 0.2), **kw),
+], ids=["accuracy", "comparison"])
+@pytest.mark.parametrize("jobs", [0, -2])
+def test_tables_reject_jobs_below_one(table, jobs):
+    with pytest.raises(ValueError, match=f"jobs must be >= 1, got {jobs}"):
+        table(instances=3, jobs=jobs)
 
 
 def test_tables_seed_instances_from_the_point():

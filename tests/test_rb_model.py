@@ -74,6 +74,24 @@ def test_params_validation():
         RbParams(2, 5, -0.8, 1.5, 0.2)
 
 
+@pytest.mark.parametrize("k,n,alpha,r,message", [
+    (2, 5, math.inf, 1.5, "alpha must be finite and > 0, got inf"),
+    (2, 5, 0.8, math.inf, "density r must be finite and > 0, got inf"),
+    (2, 5, 1e6, 1.5, "overflow at k=2 n=5 alpha=1000000.0"),  # n^alpha
+    (2, 5, 0.8, 1e308, "overflow at k=2 n=5"),                # r*n*ln n
+    (200, 200, 2.0, 0.1, "overflow at k=200 n=200"),          # p*d^k
+    (10 ** 8, 10 ** 8, 0.3, 0.1, "overflow at k=100000000"),  # d^k not built
+])
+def test_params_reject_non_finite_and_overflowing_sizes(k, n, alpha, r, message):
+    with pytest.raises(ValueError, match=message):
+        RbParams(k, n, alpha, r, 0.2)
+
+
+def test_params_accept_huge_sizes_in_the_float_range():
+    sizes = derive_sizes(RbParams(2, 5, 200.0, 1.0, 0.2))  # d^k near 4e279
+    assert sizes.d == round_half_up(5 ** 200.0) and sizes.t_nogoods > 10 ** 278
+
+
 def test_effective_tightness_reflects_rounding():
     params = RbParams(2, 7, 0.8, 1.5, 0.3)  # t = round(7.5) = 8 of 25 tuples
     assert effective_tightness(params) == 8 / 25
