@@ -96,10 +96,11 @@ def grid_values(start: float, stop: float, step: float) -> list[float]:
         raise ValueError("grid step must be positive")
     if stop < start:
         raise ValueError("grid stop must be >= start")
-    if not all(map(math.isfinite, (start, stop, step, (stop - start) / step))):
+    steps = (stop - start) / step
+    if not all(map(math.isfinite, (start, stop, step, steps))):
         raise ValueError(f"grid start {start}, stop {stop} and step {step} must be "
                          "finite and span a finite number of steps")
-    npts = int(math.floor((stop - start) / step + 1e-9)) + 1
+    npts = int(math.floor(steps + 1e-9)) + 1
     return [round(start + i * step, 12) for i in range(npts)]
 
 

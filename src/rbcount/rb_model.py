@@ -154,7 +154,8 @@ def derive_sizes(params: RbParams) -> DerivedSizes:
 
     d = round(n^alpha) clamped to >= 2, m = round(r*n*ln n) clamped to >= 1,
     t_nogoods = round(p*d^k) clamped into [1, d^k - 1].  Rounding is
-    half-up throughout.
+    half-up throughout.  Raises OverflowError when a size leaves the float
+    range.
     """
     d = max(2, round_half_up(params.n ** params.alpha))
     m = max(1, round_half_up(params.r * params.n * math.log(params.n)))
