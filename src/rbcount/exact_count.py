@@ -192,11 +192,16 @@ def count_backtrack(instance: Instance) -> CountResult:
                        memo_states=states)
 
 
+def check_decision_divisor(divisor: int) -> None:
+    """Raise ValueError unless divisor is an integer >= 2, as decisions need."""
+    if not isinstance(divisor, int) or divisor < 2:
+        raise ValueError(f"divisor must be an integer >= 2, got {divisor}")
+
+
 def decide_from_count(count: int, d: int, n: int, divisor: int = 2) -> bool:
     """Threshold decision for an already-computed count: count**divisor >= d**n,
     in exact integers only."""
-    if not isinstance(divisor, int) or divisor < 2:
-        raise ValueError(f"divisor must be an integer >= 2, got {divisor}")
+    check_decision_divisor(divisor)
     if count < 0:
         raise ValueError("count must be >= 0")
     return count ** divisor >= d ** n

@@ -20,8 +20,9 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence, TextIO
 
-from .exact_count import (DEFAULT_BRUTE_CAP, CapExceeded, CountResult, count_backtrack,
-                          count_brute, decide_from_count)
+from .exact_count import (DEFAULT_BRUTE_CAP, CapExceeded, CountResult,
+                          check_decision_divisor, count_backtrack, count_brute,
+                          decide_from_count)
 from .rb_model import (Instance, RbParams, derive_sizes, effective_tightness, generate,
                        mix64)
 from .theory import critical_density, critical_tightness, expected_count
@@ -54,8 +55,7 @@ class SweepConfig:
             raise ValueError(f"vary must be 'p' or 'r', got {self.vary!r}")
         _check_instances(self.instances_per_point)
         _check_jobs(self.jobs)
-        if not isinstance(self.divisor, int) or self.divisor < 2:
-            raise ValueError(f"divisor must be an integer >= 2, got {self.divisor}")
+        check_decision_divisor(self.divisor)
         self.points()  # each grid point's RbParams checks its own values
 
     def points(self) -> list[RbParams]:
