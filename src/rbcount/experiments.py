@@ -56,8 +56,9 @@ class SweepConfig:
         _check_instances(self.instances_per_point)
         _check_jobs(self.jobs)
         check_decision_divisor(self.divisor)
-        self.points()  # each grid point's RbParams checks its own values
+        self.points  # each grid point's RbParams checks its own values
 
+    @functools.cached_property
     def points(self) -> list[RbParams]:
         """The grid points in order: the base point with the varied field set."""
         start = getattr(self.base, self.vary)
@@ -191,7 +192,7 @@ def sweep_tightness(config: SweepConfig,
     """
     rows = []
     with _pool(config.jobs) as pool:
-        for gi, point in enumerate(config.points()):
+        for gi, point in enumerate(config.points):
             batch = _point_batch(point, gi, config.instances_per_point)
             started = time.perf_counter()
             results = count_batch(batch, config.method, config.brute_cap, pool)

@@ -159,7 +159,7 @@ def test_sweep_config_checks_every_grid_point_up_front(change, message):
 
 
 def test_sweep_config_points_follow_the_grid():
-    points = TINY.points()
+    points = TINY.points
     assert [pt.p for pt in points] == grid_values(0.1, 0.5, 0.1)
     assert {dataclasses.replace(pt, p=0.1) for pt in points} == {TINY.base}
 
