@@ -11,6 +11,10 @@ The generator is pinned on its own: the written text of one instance per
 (params, seed) pair, over arities 2..5, domains of 10 and more, seeds at
 both ends of the 64-bit range, and a point whose d^k exceeds 2^64, so
 nogood indices take more than one word to draw.
+The DIMACS path is pinned end to end: the full `rbcount encode` output,
+comment lines included, of instances written by `rbcount gen -o` at arities
+2 to 4 and at a k=3 point of the paper's larger grid, and of the checked-in
+tiny instance.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import io
+import pathlib
 
 import pytest
 
@@ -100,6 +105,25 @@ GENERATED = [
 ]
 
 
+TINY = pathlib.Path(__file__).parent / "data" / "tiny.rbcsp"
+# (gen arguments, or None for the tiny instance; digest of the encode output)
+ENCODED = [
+    # d=6 m=39 t=8
+    (["-k", "2", "-n", "10", "-a", "0.8", "-r", "1.7", "-p", "0.21", "--seed", "1"],
+     "df35c778253ffb18d02396e67b95d889f7d56dc0707b271a5e3af2688fecfac9"),
+    # d=10 m=14 t=20
+    (["-k", "3", "-n", "9", "-a", "1.05", "-r", "0.7", "-p", "0.02", "--seed", str(TOP_SEED)],
+     "5d32d4b8c02ff5692276f8ac6c4c35867ceff96891ecb754ed3fcfe4f6acf2de"),
+    # d=10 m=12 t=100
+    (["-k", "4", "-n", "10", "-a", "1.0", "-r", "0.5", "-p", "0.01", "--seed", "1"],
+     "5a8a801964f41298a5719c5f0b8e589cc08f6db195c877ec530986dcf5b7d091"),
+    # d=10 m=57 t=260: a point of the export-n15 benchmark workload
+    (["-k", "3", "-n", "15", "-a", "0.85", "-r", "1.4", "-p", "0.26", "--seed", "0"],
+     "889479e53f4abb30d950b446fe86086fc47595d6ff30f98df6310841c1aa8c59"),
+    (None, "a511b33a24729e49a29dbc4aa7a848856dc7d733f4de232580791eb4504c01d8"),
+]
+
+
 def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
@@ -145,3 +169,13 @@ def test_generated_instance_bytes_are_pinned(point, seed, digest):
     sink = io.StringIO()
     write_instance(generate(RbParams(*point, seed=seed)), sink)
     assert sha256(sink.getvalue().encode()) == digest
+
+
+@pytest.mark.parametrize("gen_args,digest", ENCODED)
+def test_encoded_dimacs_bytes_are_pinned(gen_args, digest, tmp_path, capsys):
+    source = TINY
+    if gen_args is not None:
+        source = tmp_path / "i.rbcsp"
+        run_to_file(["gen"] + gen_args, source, capsys)
+    data = run_to_file(["encode", str(source)], tmp_path / "i.cnf", capsys)
+    assert sha256(data) == digest

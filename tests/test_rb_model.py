@@ -5,6 +5,7 @@ from __future__ import annotations
 import io
 import math
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -249,29 +250,63 @@ def test_parse_allows_empty_nogood_set():
     assert inst.constraints[0].nogoods == frozenset()
 
 
-@pytest.mark.parametrize("text,what", [
-    ("", "empty"),
-    ("rbcsp 2\nn 2 d 2 k 2 m 0\n", "version"),
-    ("nonsense 1\nn 2 d 2 k 2 m 0\n", "magic"),
-    ("rbcsp 1\nn 2 d 2 k 2\n", "size line"),
-    ("rbcsp 1\nn 2 d 1 k 2 m 0\n", "domain"),
-    ("rbcsp 1\nn 1 d 2 k 2 m 1\nc 0 1\n", "k > n"),
-    ("rbcsp 1\nn 2 d 2 k 2 m 2\nc 0 1\ng 0 0\n", "constraint count"),
-    ("rbcsp 1\nn 2 d 2 k 2 m 1\nc 0 5\ng 0 0\n", "variable range"),
-    ("rbcsp 1\nn 2 d 2 k 2 m 1\nc 1 0\ng 0 0\n", "unsorted scope"),
-    ("rbcsp 1\nn 2 d 2 k 2 m 1\nc 0 0\ng 0 0\n", "repeated scope var"),
-    ("rbcsp 1\nn 2 d 2 k 2 m 1\nc 0 1\ng 0 7\n", "value range"),
-    ("rbcsp 1\nn 2 d 2 k 2 m 1\nc 0 1\ng 0\n", "nogood arity"),
-    ("rbcsp 1\nn 2 d 2 k 2 m 1\nc 0 1\ng 0 0\ng 0 0\n", "duplicate nogood"),
-    ("rbcsp 1\nn 2 d 2 k 2 m 1\ng 0 0\nc 0 1\n", "nogood before scope"),
-    ("rbcsp 1\nn 2 d 2 k 2 m 1\nc 0 1\nx 0 0\n", "unknown tag"),
-    ("rbcsp 1\nn 2 d 2 k 2 m 1\nc 0 one\n", "non-integer"),
-    ("rbcsp 1\nn 0 d 2 k 2 m 0\n", "no variables"),
-    ("rbcsp 1\nn 2 d 2 k 1 m 0\n", "arity below 2"),
-])
-def test_parse_rejects_malformed(text, what):
-    with pytest.raises(InstanceFormatError):
+# (text, what, the exact message): a test's id is "<text>-<what>"
+MALFORMED = [
+    ("", "empty", "empty input"),
+    ("rbcsp 2\nn 2 d 2 k 2 m 0\n", "version", "line 1: unsupported format version"),
+    ("nonsense 1\nn 2 d 2 k 2 m 0\n", "magic", "line 1: expected magic 'rbcsp'"),
+    ("rbcsp 1\nn 2 d 2 k 2\n", "size line", "line 2: expected 'n <n> d <d> k <k> m <m>'"),
+    ("rbcsp 1\nn 2 d 1 k 2 m 0\n", "domain", "need n >= 1 and d >= 2, got n=2 d=1"),
+    ("rbcsp 1\nn 1 d 2 k 2 m 1\nc 0 1\n", "k > n",
+     "constraint 0: scope (0, 1) is not strictly increasing in [0, 1)"),
+    ("rbcsp 1\nn 2 d 2 k 2 m 2\nc 0 1\ng 0 0\n", "constraint count",
+     "declared m=2 but found 1 constraints"),
+    ("rbcsp 1\nn 2 d 2 k 2 m 1\nc 0 5\ng 0 0\n", "variable range",
+     "constraint 0: scope (0, 5) is not strictly increasing in [0, 2)"),
+    ("rbcsp 1\nn 2 d 2 k 2 m 1\nc 1 0\ng 0 0\n", "unsorted scope",
+     "constraint 0: scope (1, 0) is not strictly increasing in [0, 2)"),
+    ("rbcsp 1\nn 2 d 2 k 2 m 1\nc 0 0\ng 0 0\n", "repeated scope var",
+     "constraint 0: scope (0, 0) is not strictly increasing in [0, 2)"),
+    ("rbcsp 1\nn 2 d 2 k 2 m 1\nc 0 1\ng 0 7\n", "value range",
+     "constraint 0: a nogood is not 2 values in [0, 2)"),
+    ("rbcsp 1\nn 2 d 2 k 2 m 1\nc 0 1\ng 0\n", "nogood arity",
+     "line 4: 'g' line needs 2 values"),
+    ("rbcsp 1\nn 2 d 2 k 2 m 1\nc 0 1\ng 0 0\ng 0 0\n", "duplicate nogood",
+     "line 5: duplicate nogood (0, 0)"),
+    ("rbcsp 1\nn 2 d 2 k 2 m 1\ng 0 0\nc 0 1\n", "nogood before scope",
+     "line 3: nogood before any scope line"),
+    ("rbcsp 1\nn 2 d 2 k 2 m 1\nc 0 1\nx 0 0\n", "unknown tag",
+     "line 4: unknown line tag 'x'"),
+    ("rbcsp 1\nn 2 d 2 k 2 m 1\nc 0 one\n", "non-integer",
+     "line 3: expected integer, got 'one'"),
+    ("rbcsp 1\nn 0 d 2 k 2 m 0\n", "no variables", "need n >= 1 and d >= 2, got n=0 d=2"),
+    ("rbcsp 1\nn 2 d 2 k 1 m 0\n", "arity below 2", "line 2: need k >= 2 and m >= 0"),
+    ("rbcsp 1\nn 3 d 2 k 2 m 2\nc 0 1\ng 0 0\nc 1 2\ng 1 x\n",
+     "non-integer in second block", "line 6: expected integer, got 'x'"),
+    ("rbcsp 1\nn 3 d 2 k 2 m 2\nc 0 1\ng 1 0\nc 1 2\ng 1 0\ng 0 1\ng 1 0\n",
+     "duplicate nogood in second block", "line 8: duplicate nogood (1, 0)"),
+    ("rbcsp 1\nn 3 d 2 k 2 m 2\nc 0 1\ng 0 0\nc 1 2\ng 0 x\ng 0 x\ny 0 0\n",
+     "first error wins", "line 6: expected integer, got 'x'"),
+    ("rbcsp 1\nn 3 d 2 k 2 m 1\nc 0 1\ng 0 0\nz 0 one\n",
+     "tag before integers", "line 5: unknown line tag 'z'"),
+    ("rbcsp 1\nn 3 d 2 k 2 m 1\ng 0 one\n",
+     "scope before integers", "line 3: nogood before any scope line"),
+    ("rbcsp 1\nn 3 d 2 k 2 m 1\nc 0 1\ng 0 1 one\n",
+     "integers before arity", "line 4: expected integer, got 'one'"),
+]
+
+
+@pytest.mark.parametrize("text,what,message", [
+    pytest.param(*case, id=f"{case[0]}-{case[1]}") for case in MALFORMED])
+def test_parse_rejects_malformed(text, what, message):
+    with pytest.raises(InstanceFormatError, match=f"^{re.escape(message)}$"):
         read_instance(io.StringIO(text))
+
+
+def test_parse_reads_signed_and_zero_padded_integers():
+    text = "rbcsp 1\nn 3 d 2 k 2 m 1\nc +0 02\ng +1 01\ng 0 +0\n"
+    inst = read_instance(io.StringIO(text))
+    assert inst.constraints == (Constraint((0, 2), frozenset({(1, 1), (0, 0)})),)
 
 
 def test_write_is_deterministic():
@@ -288,6 +323,31 @@ def test_instance_validate_catches_bad_data():
         bad.validate()
     bad = Instance(2, 2, (Constraint((0, 1), frozenset({(0, 5)})),))
     with pytest.raises(InstanceFormatError):
+        bad.validate()
+
+
+def test_instance_validate_names_the_bad_constraint():
+    good = Constraint((0, 1), frozenset({(0, 0), (1, 1)}))
+    for bad_nogoods in ({(0, 1), (1, 2)}, {(0, 1), (1,)}, {(0, 1), (0, 0, 1)},
+                        {(-1, 0)}):
+        bad = Instance(3, 2, (good, Constraint((1, 2), frozenset(bad_nogoods)), good))
+        with pytest.raises(InstanceFormatError,
+                           match=r"^constraint 1: a nogood is not 2 values in \[0, 2\)$"):
+            bad.validate()
+    bad = Instance(3, 2, (good, Constraint((1, 3), frozenset({(0, 0)}))))
+    with pytest.raises(InstanceFormatError,
+                       match=r"^constraint 1: scope \(1, 3\) is not strictly increasing"):
+        bad.validate()
+
+
+def test_write_passes_a_wrong_length_nogood_through():
+    # write_instance checks only the scopes' arity; the reader rejects the line
+    bad = Instance(3, 2, (Constraint((0, 1), frozenset({(0, 0, 1), (1,)})),))
+    text = _written(bad)
+    assert text == "rbcsp 1\nn 3 d 2 k 2 m 1\nc 0 1\ng 0 0 1\ng 1\n"
+    with pytest.raises(InstanceFormatError, match="^line 4: 'g' line needs 2 values$"):
+        read_instance(io.StringIO(text))
+    with pytest.raises(InstanceFormatError, match="^constraint 0: a nogood is not 2 values"):
         bad.validate()
 
 
