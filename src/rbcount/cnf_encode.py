@@ -9,6 +9,7 @@ at-most-one clauses, and every nogood contributes one all-negative clause.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from typing import Iterable, TextIO
 
@@ -58,9 +59,9 @@ def encode_direct(instance: Instance) -> Cnf:
         for v, w in itertools.combinations(range(d), 2):
             clauses.append((-boolean_var(i, v, d), -boolean_var(i, w, d)))
     for c in instance.constraints:
-        for ng in sorted(c.nogoods):
-            clauses.append(tuple(-boolean_var(var, val, d)
-                                 for var, val in zip(c.scope, ng)))
+        # -boolean_var(var, val, d) is the scope variable's -boolean_var(var, 0, d) - val
+        negs = [-boolean_var(var, 0, d) for var in c.scope]
+        clauses.extend(tuple(map(operator.sub, negs, ng)) for ng in sorted(c.nogoods))
     return Cnf(num_vars=n * d, clauses=tuple(clauses))
 
 
@@ -69,8 +70,9 @@ def write_dimacs(cnf: Cnf, sink: TextIO, comments: Iterable[str] = ()) -> None:
     for comment in comments:
         sink.write(f"c {comment}\n")
     sink.write(f"p cnf {cnf.num_vars} {len(cnf.clauses)}\n")
-    for clause in cnf.clauses:
-        sink.write(" ".join(map(str, clause)) + " 0\n")
+    # one format per run of equal-length clauses; %s formats an int as str() does
+    for size, run in itertools.groupby(cnf.clauses, len):
+        sink.writelines(map(("%s " * size + "0\n").__mod__, map(tuple, run)))
 
 
 def read_dimacs(source: TextIO) -> Cnf:

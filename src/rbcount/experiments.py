@@ -27,6 +27,9 @@ from .rb_model import (Instance, RbParams, derive_sizes, effective_tightness, ge
                        mix64)
 from .theory import critical_density, critical_tightness, expected_count
 
+# A grid builds every point's RbParams up front, so its size is bounded.
+MAX_GRID_POINTS = 10 ** 5
+
 CSV_HEADER = ("p,p_eff,yes_fraction,mean_count_log,median_count_log,mean_nodes,"
               "wall_ms,cap_exceeded")
 
@@ -92,7 +95,8 @@ def sweep_header(vary: str) -> list[str]:
 
 
 def grid_values(start: float, stop: float, step: float) -> list[float]:
-    """Inclusive arithmetic grid, rounded to stay stable across platforms."""
+    """Inclusive arithmetic grid, rounded to stay stable across platforms;
+    at most MAX_GRID_POINTS points."""
     if step <= 0:
         raise ValueError("grid step must be positive")
     if stop < start:
@@ -102,6 +106,8 @@ def grid_values(start: float, stop: float, step: float) -> list[float]:
         raise ValueError(f"grid start {start}, stop {stop} and step {step} must be "
                          "finite and span a finite number of steps")
     npts = int(math.floor(steps + 1e-9)) + 1
+    if npts > MAX_GRID_POINTS:
+        raise ValueError(f"grid of {npts} points exceeds the limit of {MAX_GRID_POINTS}")
     return [round(start + i * step, 12) for i in range(npts)]
 
 

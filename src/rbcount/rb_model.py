@@ -224,7 +224,10 @@ class Instance:
             if s[0] < 0 or s[-1] >= self.n or any(a >= b for a, b in zip(s, s[1:])):
                 raise InstanceFormatError(f"constraint {ci}: scope {s} is not strictly "
                                           f"increasing in [0, {self.n})")
-            if any(len(ng) != k or min(ng) < 0 or max(ng) >= self.d for ng in c.nogoods):
+            if not c.nogoods:
+                continue
+            vals = set().union(*c.nogoods)
+            if set(map(len, c.nogoods)) != {k} or min(vals) < 0 or max(vals) >= self.d:
                 raise InstanceFormatError(f"constraint {ci}: a nogood is not {k} "
                                           f"values in [0, {self.d})")
 
@@ -265,6 +268,19 @@ def _decode_tuple(index: int, d: int, k: int) -> tuple[int, ...]:
     return tuple(vals)
 
 
+class _Decoded(dict):
+    """Tuple index -> value tuple over d values and arity k, each index decoded
+    once: an instance draws the same index in many constraints."""
+
+    def __init__(self, d: int, k: int):
+        super().__init__()
+        self.d, self.k = d, k
+
+    def __missing__(self, index: int) -> tuple[int, ...]:
+        vals = self[index] = _decode_tuple(index, self.d, self.k)
+        return vals
+
+
 def generate(params: RbParams) -> Instance:
     """Generate an instance: m uniform scopes, each with t_nogoods distinct
     forbidden tuples drawn uniformly without replacement.
@@ -276,12 +292,13 @@ def generate(params: RbParams) -> Instance:
     sizes = derive_sizes(params)
     k, d = params.k, sizes.d
     stream = DrawStream(params.seed)
+    decoded = _Decoded(d, k)
     constraints = []
     for ci in range(sizes.m):
         stream.select(ci)
         scope = tuple(sorted(_draw_distinct(stream, params.n, k)))
         drawn = _draw_distinct(stream, d ** k, sizes.t_nogoods)
-        nogoods = frozenset(_decode_tuple(i, d, k) for i in drawn)
+        nogoods = frozenset(map(decoded.__getitem__, drawn))
         constraints.append(Constraint(scope, nogoods))
     return Instance(params.n, sizes.d, tuple(constraints), provenance=(params, sizes))
 
@@ -357,10 +374,14 @@ def write_instance(instance: Instance, sink: TextIO) -> None:
         sink.write(f"# derived: d={sizes.d} m={sizes.m} t_nogoods={sizes.t_nogoods}\n")
     sink.write(f"{FORMAT_MAGIC} {FORMAT_VERSION}\n")
     sink.write(f"n {instance.n} d {instance.d} k {k} m {len(instance.constraints)}\n")
+    g_line = "g" + " %s" * k + "\n"  # %s formats an int as str() does
     for c in instance.constraints:
         sink.write("c " + " ".join(map(str, c.scope)) + "\n")
-        for ng in sorted(c.nogoods):
-            sink.write("g " + " ".join(map(str, ng)) + "\n")
+        nogoods = sorted(c.nogoods)
+        try:
+            sink.write("".join(map(g_line.__mod__, nogoods)))
+        except TypeError:  # a nogood not of length k (validate() rejects it)
+            sink.write("".join("g " + " ".join(map(str, ng)) + "\n" for ng in nogoods))
 
 
 def _ints(tokens: Iterable[str], lineno: int) -> tuple[int, ...]:
@@ -374,6 +395,24 @@ def _ints(tokens: Iterable[str], lineno: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+class _TokenInts(dict):
+    """Token -> int(token), each distinct token parsed once: an instance's
+    lines repeat the same few variable and value indices."""
+
+    def __missing__(self, tok: str) -> int:
+        val = self[tok] = int(tok)
+        return val
+
+
+def _next_tokens(lines: Iterable[tuple[int, str]]) -> tuple[int, list[str] | None]:
+    """(line number, tokens) of the next line that is neither blank nor a
+    comment; (0, None) at the end."""
+    for lineno, ln in lines:
+        if (toks := ln.split()) and not toks[0].startswith("#"):
+            return lineno, toks
+    return 0, None
+
+
 def read_instance(source: TextIO) -> Instance:
     """Parse the text format into an Instance, then validate() it.
 
@@ -384,16 +423,15 @@ def read_instance(source: TextIO) -> Instance:
     m = 0.  Instance.validate checks the structure.  A constraint with no
     g lines is legal: it forbids nothing.
     """
-    lines = ((i, toks) for i, ln in enumerate(source, 1)
-             if (toks := ln.split()) and not toks[0].startswith("#"))
-    lineno, parts = next(lines, (0, None))
+    lines = enumerate(source, 1)
+    lineno, parts = _next_tokens(lines)
     if parts is None:
         raise InstanceFormatError("empty input")
     if parts[0] != FORMAT_MAGIC:
         raise InstanceFormatError(f"line {lineno}: expected magic {FORMAT_MAGIC!r}")
     if parts[1:] != [str(FORMAT_VERSION)]:
         raise InstanceFormatError(f"line {lineno}: unsupported format version")
-    lineno, toks = next(lines, (0, None))
+    lineno, toks = _next_tokens(lines)
     if toks is None:
         raise InstanceFormatError("missing size line")
     if len(toks) != 8 or toks[0::2] != ["n", "d", "k", "m"]:
@@ -404,21 +442,34 @@ def read_instance(source: TextIO) -> Instance:
 
     scopes: list[tuple[int, ...]] = []
     nogoods: list[set[tuple[int, ...]]] = []
-    for lineno, (tag, *body) in lines:
-        if tag not in ("c", "g"):
+    current = None  # the nogood set of the latest constraint
+    as_int = _TokenInts().__getitem__
+    for lineno, ln in lines:
+        toks = ln.split()
+        if not toks:
+            continue
+        tag = toks[0]
+        if tag == "g":
+            if current is None:
+                raise InstanceFormatError(f"line {lineno}: nogood before any scope line")
+        elif tag != "c":
+            if tag.startswith("#"):
+                continue
             raise InstanceFormatError(f"line {lineno}: unknown line tag {tag!r}")
-        if tag == "g" and not scopes:
-            raise InstanceFormatError(f"line {lineno}: nogood before any scope line")
-        vals = _ints(body, lineno)
+        try:
+            vals = tuple(map(as_int, toks[1:]))
+        except ValueError:
+            vals = _ints(toks[1:], lineno)  # raises, naming the bad token
         if len(vals) != k:
             raise InstanceFormatError(f"line {lineno}: {tag!r} line needs {k} values")
-        if tag == "c":
-            scopes.append(vals)
-            nogoods.append(set())
-        elif vals in nogoods[-1]:
-            raise InstanceFormatError(f"line {lineno}: duplicate nogood {vals}")
+        if tag == "g":
+            size = len(current)
+            current.add(vals)
+            if len(current) == size:
+                raise InstanceFormatError(f"line {lineno}: duplicate nogood {vals}")
         else:
-            nogoods[-1].add(vals)
+            scopes.append(vals)
+            nogoods.append(current := set())
 
     if len(scopes) != m:
         raise InstanceFormatError(f"declared m={m} but found {len(scopes)} constraints")

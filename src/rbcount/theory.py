@@ -165,8 +165,8 @@ def ae_count(params: RbParams, delta: float, divisor: int = 2,
     """
     if not 0.0 < delta <= 1.0:
         raise ValueError(f"delta must lie in (0, 1], got {delta}")
-    if critical_band < 0:
-        raise ValueError("critical_band must be >= 0")
+    if not critical_band >= 0:  # NaN too: it would never flag CRITICAL
+        raise ValueError(f"critical_band must be >= 0, got {critical_band}")
     sizes = derive_sizes(params)
     p_eff = effective_tightness(params)
     log_e, linear = expected_count(params.n, sizes.d, sizes.m, p_eff)

@@ -319,11 +319,24 @@ def test_overflowing_parameters_exit_2(argv, message, capsys):
      "jobs must be >= 1, got 0"),
     (["compare"] + SMALL + ["-r", "1.5", "-p", "0.2", "--jobs", "0"],
      "jobs must be >= 1, got 0"),
+    (["sweep"] + SMALL + ["-p", "0.2", "--vary", "r", "--start", "1", "--stop", "1e9",
+                          "--step", "1e-9"],
+     "grid of 999999999000000001 points exceeds the limit of 100000"),
 ])
 def test_bad_run_config_exits_2_before_any_progress(argv, message, capsys):
     code, out, err = run(argv, capsys)
     assert code == 2 and out == ""
     assert err.splitlines() == ["rbcount: error: " + message]
+
+
+@pytest.mark.parametrize("band", ["nan", "-0.1"])
+def test_estimate_rejects_a_nan_or_negative_band(band, capsys):
+    argv = ["estimate", "-k", "2", "-n", "7", "-a", "0.8", "-r", "1.7", "-p", "0.2"]
+    code, out, _ = run(argv + ["--band", "inf"], capsys)
+    assert code == 0 and "prediction CRITICAL" in out
+    code, out, err = run(argv + ["--band", band], capsys)
+    assert code == 2 and out == ""
+    assert err.splitlines() == [f"rbcount: error: critical_band must be >= 0, got {float(band)}"]
 
 
 def test_usage_errors_exit_1(capsys):

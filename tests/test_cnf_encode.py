@@ -153,3 +153,22 @@ def test_written_header_counts_match_body():
     assert len(lines) - 1 == int(nc)
     top = max(abs(int(tok)) for ln in lines[1:] for tok in ln.split())
     assert top <= int(nv)
+
+
+def test_write_dimacs_writes_list_and_mixed_length_clauses_as_text():
+    # clauses of any length, in any order, as tuples or lists: one line each
+    cnf = Cnf(4, ((1, 2, 3, 4), [-1, 2], (-3,), [4], (2, -4, 1)))
+    out = io.StringIO()
+    write_dimacs(cnf, out, comments=["mixed"])
+    assert out.getvalue() == ("c mixed\np cnf 4 5\n1 2 3 4 0\n-1 2 0\n-3 0\n4 0\n"
+                              "2 -4 1 0\n")
+
+
+def test_encode_direct_negates_each_nogood_value():
+    inst = Instance(4, 3, (Constraint((0, 2, 3), frozenset({(2, 0, 1), (0, 1, 2)})),
+                           Constraint((0, 1, 3), frozenset()),
+                           Constraint((1, 2, 3), frozenset({(1, 1, 1)}))))
+    clauses = encode_direct(inst).clauses[-3:]
+    assert clauses == tuple(tuple(-boolean_var(var, val, 3) for var, val in zip(c.scope, ng))
+                            for c in inst.constraints for ng in sorted(c.nogoods))
+    assert clauses == ((-1, -8, -12), (-3, -7, -11), (-5, -8, -11))

@@ -10,7 +10,7 @@ import math
 import pytest
 
 from rbcount.exact_count import CapExceeded, count_backtrack, decide_from_count
-from rbcount.experiments import (COMPARISON_HEADER, CSV_HEADER, AccuracyRow,
+from rbcount.experiments import (COMPARISON_HEADER, CSV_HEADER, MAX_GRID_POINTS, AccuracyRow,
                                  SweepConfig, SweepRow,
                                  accuracy_header, accuracy_table,
                                  crossing_point, emit_csv, emit_svg_plot,
@@ -50,6 +50,14 @@ def test_grid_values_validation():
         grid_values(0.1, 0.5, 0.0)
     with pytest.raises(ValueError):
         grid_values(0.5, 0.1, 0.1)
+
+
+def test_grid_values_bounds_the_point_count():
+    assert len(grid_values(1.0, 1e5, 1.0)) == MAX_GRID_POINTS == 10 ** 5
+    with pytest.raises(ValueError, match="^grid of 100001 points exceeds the limit of 100000$"):
+        grid_values(0.0, 1e5, 1.0)
+    with pytest.raises(ValueError, match="^grid of 999999999000000001 points"):
+        grid_values(1.0, 1e9, 1e-9)
 
 
 @pytest.mark.parametrize("start,stop,step", [

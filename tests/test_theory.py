@@ -154,6 +154,12 @@ def test_ae_count_band_is_configurable():
     assert narrow.predicted in (PREDICT_YES, PREDICT_NO)
 
 
+@pytest.mark.parametrize("band", [-0.1, math.nan])
+def test_ae_count_rejects_a_negative_or_nan_band(band):
+    with pytest.raises(ValueError, match="critical_band must be >= 0"):
+        ae_count(RbParams(2, 13, 0.8, 1.7, 0.19), delta=0.9, critical_band=band)
+
+
 def test_ae_count_interval_shape():
     est = ae_count(RbParams(2, 13, 0.8, 1.7, 0.1), delta=0.5)
     assert est.interval_low == pytest.approx(0.5 * est.expected)
