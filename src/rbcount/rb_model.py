@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence, TextIO
+from typing import Callable, Iterable, Sequence, TextIO
 
 MASK64 = (1 << 64) - 1
 
@@ -259,6 +259,19 @@ def _draw_distinct(stream: DrawStream, bound: int, count: int) -> set[int]:
     return seen
 
 
+class _Memo(dict):
+    """key -> fn(key), computed on first lookup.  One instance repeats the same
+    few tuple indices and text tokens many times over."""
+
+    def __init__(self, fn: Callable):
+        super().__init__()
+        self.fn = fn
+
+    def __missing__(self, key):
+        val = self[key] = self.fn(key)
+        return val
+
+
 def _decode_tuple(index: int, d: int, k: int) -> tuple[int, ...]:
     if k == 2:
         return divmod(index, d)
@@ -266,19 +279,6 @@ def _decode_tuple(index: int, d: int, k: int) -> tuple[int, ...]:
     for i in range(k - 1, -1, -1):
         index, vals[i] = divmod(index, d)
     return tuple(vals)
-
-
-class _Decoded(dict):
-    """Tuple index -> value tuple over d values and arity k, each index decoded
-    once: an instance draws the same index in many constraints."""
-
-    def __init__(self, d: int, k: int):
-        super().__init__()
-        self.d, self.k = d, k
-
-    def __missing__(self, index: int) -> tuple[int, ...]:
-        vals = self[index] = _decode_tuple(index, self.d, self.k)
-        return vals
 
 
 def generate(params: RbParams) -> Instance:
@@ -292,7 +292,7 @@ def generate(params: RbParams) -> Instance:
     sizes = derive_sizes(params)
     k, d = params.k, sizes.d
     stream = DrawStream(params.seed)
-    decoded = _Decoded(d, k)
+    decoded = _Memo(lambda index: _decode_tuple(index, d, k))
     constraints = []
     for ci in range(sizes.m):
         stream.select(ci)
@@ -395,15 +395,6 @@ def _ints(tokens: Iterable[str], lineno: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-class _TokenInts(dict):
-    """Token -> int(token), each distinct token parsed once: an instance's
-    lines repeat the same few variable and value indices."""
-
-    def __missing__(self, tok: str) -> int:
-        val = self[tok] = int(tok)
-        return val
-
-
 def _next_tokens(lines: Iterable[tuple[int, str]]) -> tuple[int, list[str] | None]:
     """(line number, tokens) of the next line that is neither blank nor a
     comment; (0, None) at the end."""
@@ -443,7 +434,7 @@ def read_instance(source: TextIO) -> Instance:
     scopes: list[tuple[int, ...]] = []
     nogoods: list[set[tuple[int, ...]]] = []
     current = None  # the nogood set of the latest constraint
-    as_int = _TokenInts().__getitem__
+    as_int = _Memo(int).__getitem__
     for lineno, ln in lines:
         toks = ln.split()
         if not toks:
