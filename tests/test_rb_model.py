@@ -296,9 +296,9 @@ MALFORMED = [
 ]
 
 
-@pytest.mark.parametrize("text,what,message", [
-    pytest.param(*case, id=f"{case[0]}-{case[1]}") for case in MALFORMED])
-def test_parse_rejects_malformed(text, what, message):
+@pytest.mark.parametrize("text,message", [
+    pytest.param(text, message, id=f"{text}-{what}") for text, what, message in MALFORMED])
+def test_parse_rejects_malformed(text, message):
     with pytest.raises(InstanceFormatError, match=f"^{re.escape(message)}$"):
         read_instance(io.StringIO(text))
 
