@@ -364,8 +364,11 @@ def _check_divisor(divisor: float) -> None:
 
 
 def write_instance(instance: Instance, sink: TextIO) -> None:
-    """Write an instance in the plain-text exchange format (deterministic);
-    raises InstanceFormatError, writing nothing, on mixed arities."""
+    """Write an instance in the plain-text exchange format (deterministic).
+
+    Raises InstanceFormatError on mixed arities, writing nothing, and on a
+    nogood that is not k values, having written the constraints before it.
+    """
     k = instance.arity()
     if instance.provenance is not None:
         params, sizes = instance.provenance
@@ -375,13 +378,14 @@ def write_instance(instance: Instance, sink: TextIO) -> None:
     sink.write(f"{FORMAT_MAGIC} {FORMAT_VERSION}\n")
     sink.write(f"n {instance.n} d {instance.d} k {k} m {len(instance.constraints)}\n")
     g_line = "g" + " %s" * k + "\n"  # %s formats an int as str() does
-    for c in instance.constraints:
-        sink.write("c " + " ".join(map(str, c.scope)) + "\n")
-        nogoods = sorted(c.nogoods)
+    for ci, c in enumerate(instance.constraints):
         try:
-            sink.write("".join(map(g_line.__mod__, nogoods)))
-        except TypeError:  # a nogood not of length k (validate() rejects it)
-            sink.write("".join("g " + " ".join(map(str, ng)) + "\n" for ng in nogoods))
+            g_lines = "".join(map(g_line.__mod__, sorted(c.nogoods)))
+        except TypeError:  # % got a nogood not of length k
+            raise InstanceFormatError(f"constraint {ci}: a nogood is not {k} "
+                                      f"values in [0, {instance.d})") from None
+        sink.write("c " + " ".join(map(str, c.scope)) + "\n")
+        sink.write(g_lines)
 
 
 def _ints(tokens: Iterable[str], lineno: int) -> tuple[int, ...]:
@@ -436,7 +440,7 @@ def read_instance(source: TextIO) -> Instance:
     current = None  # the nogood set of the latest constraint
     as_int = _Memo(int).__getitem__
     for lineno, ln in lines:
-        toks = ln.split()
+        toks = ln.split()  # blank and '#' lines are skipped as in _next_tokens
         if not toks:
             continue
         tag = toks[0]

@@ -340,15 +340,19 @@ def test_instance_validate_names_the_bad_constraint():
         bad.validate()
 
 
-def test_write_passes_a_wrong_length_nogood_through():
-    # write_instance checks only the scopes' arity; the reader rejects the line
-    bad = Instance(3, 2, (Constraint((0, 1), frozenset({(0, 0, 1), (1,)})),))
-    text = _written(bad)
-    assert text == "rbcsp 1\nn 3 d 2 k 2 m 1\nc 0 1\ng 0 0 1\ng 1\n"
-    with pytest.raises(InstanceFormatError, match="^line 4: 'g' line needs 2 values$"):
-        read_instance(io.StringIO(text))
-    with pytest.raises(InstanceFormatError, match="^constraint 0: a nogood is not 2 values"):
-        bad.validate()
+def test_write_rejects_a_wrong_length_nogood():
+    # the message is validate()'s; the writer stops before the bad constraint
+    good = Constraint((0, 1), frozenset({(0, 0), (1, 1)}))
+    for bad_nogoods in ({(0, 0, 1), (1,)}, {(0, 1), (1,)}, {(0, 1), (0, 0, 1)}):
+        bad = Instance(3, 2, (good, Constraint((1, 2), frozenset(bad_nogoods))))
+        sink = io.StringIO()
+        with pytest.raises(InstanceFormatError,
+                           match=r"^constraint 1: a nogood is not 2 values in \[0, 2\)$"):
+            write_instance(bad, sink)
+        assert sink.getvalue().endswith("c 0 1\ng 0 0\ng 1 1\n")
+        with pytest.raises(InstanceFormatError,
+                           match=r"^constraint 1: a nogood is not 2 values in \[0, 2\)$"):
+            bad.validate()
 
 
 def test_mixed_arity_can_be_neither_validated_nor_written():
