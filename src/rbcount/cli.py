@@ -22,8 +22,9 @@ from .experiments import (COMPARISON_HEADER, SweepConfig, accuracy_header,
                           estimator_comparison, sweep_header, sweep_manifest,
                           sweep_tightness, write_manifest)
 from .rb_model import (InstanceFormatError, RbParams, derive_sizes, effective_tightness,
-                       generate, read_instance, theorem_applicability, write_instance)
-from .theory import DEFAULT_CRITICAL_BAND, ae_count, critical_density, critical_tightness
+                       generate, read_instance, write_instance)
+from .theory import (DEFAULT_CRITICAL_BAND, ae_count, critical_density, critical_tightness,
+                     theorem_applicability)
 
 
 class UsageError(Exception):

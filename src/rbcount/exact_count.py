@@ -204,4 +204,40 @@ def decide_from_count(count: int, d: int, n: int, divisor: int = 2) -> bool:
     check_decision_divisor(divisor)
     if count < 0:
         raise ValueError("count must be >= 0")
-    return count ** divisor >= d ** n
+    space = d ** n
+    # A count >= 2 raised to space.bit_length() already exceeds space, so a
+    # larger exponent cannot change the answer; it only costs time.
+    return count ** min(divisor, space.bit_length()) >= space
+
+
+def int_nth_root(x: int, t: int) -> int:
+    """floor(x ** (1/t)) by Newton iteration on integers."""
+    if x < 0 or t < 1:
+        raise ValueError("need x >= 0 and t >= 1")
+    if x == 0:
+        return 0
+    t = min(t, x.bit_length())  # 2**t > x for larger t, so the root stays 1
+    if t == 1:
+        return x
+    g = 1 << ((x.bit_length() + t - 1) // t)
+    while True:
+        ng = ((t - 1) * g + x // g ** (t - 1)) // t
+        if ng >= g:
+            break
+        g = ng
+    while g ** t > x:
+        g -= 1
+    while (g + 1) ** t <= x:
+        g += 1
+    return g
+
+
+def threshold_ceiling(d: int, n: int, divisor: int = 2) -> int:
+    """Smallest integer count meeting the threshold: ceil(d^(n/divisor)), the
+    least count for which decide_from_count answers YES."""
+    if d < 2 or n < 1:
+        raise ValueError("need d >= 2 and n >= 1")
+    check_decision_divisor(divisor)
+    space = d ** n
+    root = int_nth_root(space, divisor)
+    return root if root ** divisor == space else root + 1

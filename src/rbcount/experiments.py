@@ -255,10 +255,13 @@ def _table_point(point: RbParams, instances: int, method: str, brute_cap: int,
     instances; an instance beyond the brute-force cap raises CapExceeded."""
     _check_instances(instances)
     _check_jobs(jobs)
+    batch = _point_batch(point, 0, instances)
     with _pool(jobs) as pool:
-        results = count_batch(_point_batch(point, 0, instances), method, brute_cap, pool)
+        results = count_batch(batch, method, brute_cap, pool)
     if any(res is None for res in results):
-        raise CapExceeded("an instance exceeded the enumeration cap")
+        # The batch shares d and n, so counting its first instance in this
+        # process raises count_brute's own CapExceeded message.
+        count_instance(generate(batch[0]), method, brute_cap)
     sizes = derive_sizes(point)
     p_eff = effective_tightness(point)
     lead = (point.k, point.n, point.alpha, point.r, point.p, p_eff, instances)

@@ -304,54 +304,6 @@ def generate(params: RbParams) -> Instance:
 
 
 # ---------------------------------------------------------------------------
-# applicability of the threshold formulas
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ApplicabilityReport:
-    """Which closed-form threshold results apply at a parameter point.
-
-    ``tightness_threshold_ok`` covers the critical-tightness formula,
-    ``density_threshold_ok`` the critical-density formula, and
-    ``interval_estimate_ok`` the moment-based count interval (valid under
-    either side condition).
-    """
-
-    divisor: float
-    alpha_above_inverse_arity: bool   # alpha > 1/k
-    domain_growth_ok: bool            # k * exp(-alpha/r) >= 1
-    arity_vs_tightness_ok: bool       # k >= 1/(1 - p)
-    tightness_threshold_ok: bool
-    density_threshold_ok: bool
-    interval_estimate_ok: bool
-
-
-def theorem_applicability(params: RbParams, divisor: float = 2) -> ApplicabilityReport:
-    """Evaluate the side conditions the asymptotic threshold results need."""
-    _check_divisor(divisor)
-    alpha_ok = params.alpha > 1.0 / params.k
-    growth_ok = params.k * math.exp(-params.alpha / params.r) >= 1.0
-    arity_ok = params.k >= 1.0 / (1.0 - params.p)
-    return ApplicabilityReport(
-        divisor=divisor,
-        alpha_above_inverse_arity=alpha_ok,
-        domain_growth_ok=growth_ok,
-        arity_vs_tightness_ok=arity_ok,
-        tightness_threshold_ok=alpha_ok and growth_ok,
-        density_threshold_ok=alpha_ok and arity_ok,
-        interval_estimate_ok=alpha_ok and (growth_ok or arity_ok),
-    )
-
-
-def _check_divisor(divisor: float) -> None:
-    if divisor == math.inf:
-        return
-    if not (isinstance(divisor, int) or float(divisor).is_integer()) or divisor < 2:
-        raise ValueError(f"divisor must be an integer >= 2 or infinity, got {divisor}")
-
-
-# ---------------------------------------------------------------------------
 # instance text format
 # ---------------------------------------------------------------------------
 #

@@ -12,8 +12,8 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .rb_model import (Assignment, RbParams, _check_divisor, derive_sizes,
-                       effective_tightness)
+from .exact_count import check_decision_divisor
+from .rb_model import RbParams, derive_sizes, effective_tightness
 
 PREDICT_YES = "YES"
 PREDICT_NO = "NO"
@@ -23,8 +23,12 @@ DEFAULT_CRITICAL_BAND = 0.005
 
 
 def _divisor_factor(divisor: float) -> float:
-    _check_divisor(divisor)
-    return 1.0 if divisor == math.inf else 1.0 - 1.0 / divisor
+    """1 - 1/divisor for the threshold d^(n/divisor); the formulas also take an
+    infinite divisor (the satisfiability threshold), which decisions reject."""
+    if divisor == math.inf:
+        return 1.0
+    check_decision_divisor(divisor)
+    return 1.0 - 1.0 / divisor
 
 
 def critical_tightness(alpha: float, r: float, divisor: float = 2) -> float:
@@ -71,59 +75,44 @@ def expected_count(n: int, d: int, m: int, p_eff: float) -> ExpectedCount:
 
 
 # ---------------------------------------------------------------------------
-# thresholds
+# applicability of the threshold formulas
 # ---------------------------------------------------------------------------
 
 
-class Threshold(NamedTuple):
-    """d^(n/divisor) as a float plus the exact pair used for integer tests."""
+@dataclass(frozen=True)
+class ApplicabilityReport:
+    """Which closed-form threshold results apply at a parameter point.
 
-    value: float
-    d_pow_n: int
-    divisor: int
+    ``tightness_threshold_ok`` covers the critical-tightness formula,
+    ``density_threshold_ok`` the critical-density formula, and
+    ``interval_estimate_ok`` the moment-based count interval (valid under
+    either side condition).
+    """
 
-
-def threshold(d: int, n: int, divisor: int = 2) -> Threshold:
-    """The count level d^(n/divisor); compare count**divisor >= d_pow_n exactly."""
-    if d < 2 or n < 1:
-        raise ValueError("need d >= 2 and n >= 1")
-    _check_divisor(divisor)
-    if divisor == math.inf:
-        raise ValueError("threshold needs a finite divisor")
-    divisor = int(divisor)
-    try:
-        value = math.exp(n * math.log(d) / divisor)
-    except OverflowError:
-        value = math.inf
-    return Threshold(value=value, d_pow_n=d ** n, divisor=divisor)
+    divisor: float
+    alpha_above_inverse_arity: bool   # alpha > 1/k
+    domain_growth_ok: bool            # k * exp(-alpha/r) >= 1
+    arity_vs_tightness_ok: bool       # k >= 1/(1 - p)
+    tightness_threshold_ok: bool
+    density_threshold_ok: bool
+    interval_estimate_ok: bool
 
 
-def int_nth_root(x: int, t: int) -> int:
-    """floor(x ** (1/t)) by Newton iteration on integers."""
-    if x < 0 or t < 1:
-        raise ValueError("need x >= 0 and t >= 1")
-    if x == 0:
-        return 0
-    if t == 1:
-        return x
-    g = 1 << ((x.bit_length() + t - 1) // t)
-    while True:
-        ng = ((t - 1) * g + x // g ** (t - 1)) // t
-        if ng >= g:
-            break
-        g = ng
-    while g ** t > x:
-        g -= 1
-    while (g + 1) ** t <= x:
-        g += 1
-    return g
-
-
-def threshold_ceiling(d: int, n: int, divisor: int = 2) -> int:
-    """Smallest integer count meeting the threshold: ceil(d^(n/divisor))."""
-    th = threshold(d, n, divisor)
-    root = int_nth_root(th.d_pow_n, th.divisor)
-    return root if root ** th.divisor == th.d_pow_n else root + 1
+def theorem_applicability(params: RbParams, divisor: float = 2) -> ApplicabilityReport:
+    """Evaluate the side conditions the asymptotic threshold results need."""
+    _divisor_factor(divisor)  # the formulas' divisor rule
+    alpha_ok = params.alpha > 1.0 / params.k
+    growth_ok = params.k * math.exp(-params.alpha / params.r) >= 1.0
+    arity_ok = params.k >= 1.0 / (1.0 - params.p)
+    return ApplicabilityReport(
+        divisor=divisor,
+        alpha_above_inverse_arity=alpha_ok,
+        domain_growth_ok=growth_ok,
+        arity_vs_tightness_ok=arity_ok,
+        tightness_threshold_ok=alpha_ok and growth_ok,
+        density_threshold_ok=alpha_ok and arity_ok,
+        interval_estimate_ok=alpha_ok and (growth_ok or arity_ok),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -149,11 +138,11 @@ class Estimate:
     interval_high: float
     log_interval_low: float
     log_interval_high: float
-    divisor: int
+    divisor: float
     predicted: str
 
 
-def ae_count(params: RbParams, delta: float, divisor: int = 2,
+def ae_count(params: RbParams, delta: float, divisor: float = 2,
              critical_band: float = DEFAULT_CRITICAL_BAND) -> Estimate:
     """Estimate the solution count of a random instance at ``params``.
 
@@ -188,7 +177,7 @@ def ae_count(params: RbParams, delta: float, divisor: int = 2,
         interval_high=high,
         log_interval_low=log_low,
         log_interval_high=log_e + math.log1p(delta),
-        divisor=int(divisor),
+        divisor=divisor,
         predicted=predicted,
     )
 
@@ -196,23 +185,6 @@ def ae_count(params: RbParams, delta: float, divisor: int = 2,
 # ---------------------------------------------------------------------------
 # assignment pairs
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SimilarityStats:
-    """Agreement between two assignments of the same n variables."""
-
-    similarity_number: int   # positions with equal values, n - hamming
-    similarity_degree: float  # similarity_number / n
-    hamming: int
-
-
-def similarity(a: Assignment, b: Assignment) -> SimilarityStats:
-    if len(a) != len(b) or not a:
-        raise ValueError("assignments must have equal, positive length")
-    hamming = sum(1 for x, y in zip(a, b) if x != y)
-    s_num = len(a) - hamming
-    return SimilarityStats(s_num, s_num / len(a), hamming)
 
 
 class PairProbabilities(NamedTuple):

@@ -228,6 +228,15 @@ def test_brute_cap_error_names_the_space_not_its_digits(huge_count_file, capsys)
     assert len(line) < 200
 
 
+@pytest.mark.parametrize("command", ["accuracy", "compare"])
+def test_tables_report_the_brute_cap_message(command, capsys):
+    code, out, err = run([command, "-k", "2", "-n", "7", "-a", "0.8", "-r", "1.5",
+                          "-p", "0.3", "--instances", "3", "--method", "brute",
+                          "--cap", "10"], capsys)
+    assert code == 2 and out == ""
+    assert err.splitlines() == ["rbcount: error: 5^7 assignments exceeds cap 10"]
+
+
 @pytest.mark.parametrize("seed", ["-1", str(2 ** 64)])
 @pytest.mark.parametrize("command", [
     ["sweep", "--start", "0.1", "--stop", "0.3", "--step", "0.2"],
@@ -368,6 +377,17 @@ def test_help_and_version_exit_0(capsys):
     assert run(["--help"], capsys)[0] == 0
     assert run(["--version"], capsys)[0] == 0
     assert run(["sweep", "--help"], capsys)[0] == 0
+
+
+def test_a_huge_divisor_answers_at_once(tmp_path, capsys):
+    huge = str(10 ** 20)
+    code, out, _ = run(["decide", TINY, "--divisor", huge], capsys)
+    assert code == 0
+    assert out.splitlines() == ["YES", "count 3", f"threshold d^(n/{huge}) with d=2 n=2"]
+    csv_path = tmp_path / "s.csv"
+    code, _, _ = run(SWEEP_SMALL + ["--divisor", huge, "-o", str(csv_path)], capsys)
+    assert code == 0
+    assert len(csv_path.read_text().splitlines()) == 4
 
 
 def test_decide_rejects_bad_divisor(capsys):

@@ -5,14 +5,17 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import re
 
 import pytest
 
 from rbcount.cnf_encode import count_models, encode_direct
 from rbcount.exact_count import (CapExceeded, count_backtrack, count_brute,
-                                 decide_from_count)
+                                 decide_from_count, int_nth_root, threshold_ceiling)
+from rbcount.experiments import SweepConfig
 from rbcount.rb_model import Constraint, Instance, RbParams, generate
-from rbcount.theory import threshold_ceiling
+from rbcount.theory import (ae_count, critical_density, critical_tightness,
+                            theorem_applicability)
 
 from test_rb_model import params_for
 
@@ -232,3 +235,50 @@ def test_decide_rejects_bad_divisor():
         decide_from_count(10, 2, 4, 1)
     with pytest.raises(ValueError):
         decide_from_count(10, 2, 4, math.inf)
+
+
+def test_a_huge_divisor_is_decided_exactly_and_at_once():
+    # count ** divisor and Newton steps on a 10**20-th root would never finish
+    huge = 10 ** 20
+    for d, n in ((2, 1), (2, 3), (3, 4), (9, 7)):
+        space = d ** n
+        bits = space.bit_length()
+        for divisor in (max(2, bits - 1), bits, bits + 1, huge):
+            ceiling = threshold_ceiling(d, n, divisor)
+            for count in (0, 1, 2, 3, space):
+                slow = count >= 2 if divisor == huge else count ** divisor >= space
+                answer = decide_from_count(count, d, n, divisor)
+                assert answer == slow == (count >= ceiling), (d, n, divisor, count)
+    assert int_nth_root(2 ** 64 - 1, 64) == 1
+    assert int_nth_root(2 ** 64, 64) == 2
+    assert int_nth_root(2 ** 64, huge) == 1
+
+
+# Every function that takes a divisor, called with it; the closed-form ones
+# also take an infinite divisor (the satisfiability threshold).
+PARAMS = RbParams(2, 20, 0.8, 1.7, 0.2)
+DIVISOR_TAKERS = {
+    "critical_tightness": lambda divisor: critical_tightness(0.8, 1.7, divisor),
+    "critical_density": lambda divisor: critical_density(0.8, 0.2, divisor),
+    "theorem_applicability": lambda divisor: theorem_applicability(PARAMS, divisor),
+    "ae_count": lambda divisor: ae_count(PARAMS, 0.9, divisor),
+    "threshold_ceiling": lambda divisor: threshold_ceiling(5, 7, divisor),
+    "decide_from_count": lambda divisor: decide_from_count(280, 5, 7, divisor),
+    "SweepConfig": lambda divisor: SweepConfig(RbParams(2, 5, 0.8, 1.5, 0.1), 0.3, 0.2,
+                                               divisor=divisor),
+}
+TAKES_INFINITY = ("critical_tightness", "critical_density", "theorem_applicability",
+                  "ae_count")
+
+
+@pytest.mark.parametrize("divisor", [1, 2.0, math.nan, math.inf])
+@pytest.mark.parametrize("taker", DIVISOR_TAKERS)
+def test_one_divisor_rule(taker, divisor):
+    call = DIVISOR_TAKERS[taker]
+    call(2)
+    if divisor == math.inf and taker in TAKES_INFINITY:
+        call(divisor)
+        return
+    message = f"divisor must be an integer >= 2, got {divisor}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call(divisor)

@@ -1,0 +1,53 @@
+"""The package's import layers: rb_model <- exact_count <- theory.
+
+Each module's relative imports are read with ast, so a module that reaches up
+a layer, or into a sibling's private names, fails here rather than in an
+import cycle.
+"""
+
+from __future__ import annotations
+
+import ast
+import pathlib
+
+import pytest
+
+import rbcount
+
+PACKAGE = pathlib.Path(rbcount.__file__).parent
+MODULES = sorted(path.stem for path in PACKAGE.glob("*.py") if path.stem != "__init__")
+
+# The siblings each lower-layer module may import from.
+LAYERS = {
+    "rb_model": set(),
+    "exact_count": {"rb_model"},
+    "theory": {"rb_model", "exact_count"},
+}
+
+
+def sibling_imports(module: str) -> set[tuple[str, str | None]]:
+    """(sibling module, imported name) for each relative import of a sibling;
+    the name is None for ``from . import sibling``."""
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
+    found = set()
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ImportFrom) or node.level != 1:
+            continue
+        for alias in node.names:
+            if node.module is not None:
+                found.add((node.module, alias.name))
+            elif alias.name in MODULES:  # not a package attribute like __version__
+                found.add((alias.name, None))
+    return found
+
+
+@pytest.mark.parametrize("module", sorted(LAYERS))
+def test_module_imports_only_the_layers_below(module):
+    assert {sibling for sibling, _ in sibling_imports(module)} <= LAYERS[module]
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_private_name_crosses_modules(module):
+    private = sorted((sibling, name) for sibling, name in sibling_imports(module)
+                     if name is not None and name.startswith("_"))
+    assert private == []

@@ -14,8 +14,8 @@ from hypothesis import strategies as st
 from rbcount.rb_model import (Constraint, DerivedSizes, DrawStream, Instance,
                               InstanceFormatError, RbParams, derive_sizes,
                               effective_tightness, generate, mix64, read_instance,
-                              round_half_up, theorem_applicability,
-                              write_instance)
+                              round_half_up, write_instance)
+from rbcount.theory import theorem_applicability
 
 
 def params_for(k, n, d, m, t, seed=0):

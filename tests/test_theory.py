@@ -8,14 +8,12 @@ import random
 
 import pytest
 
-from rbcount.exact_count import count_brute
+from rbcount.exact_count import count_brute, int_nth_root, threshold_ceiling
 from rbcount.rb_model import Constraint, Instance, RbParams, generate
 from rbcount.theory import (PREDICT_CRITICAL, PREDICT_NO, PREDICT_YES, ae_count,
                             conditional_expected_count, critical_density,
                             critical_tightness, expected_count, h_eval,
-                            int_nth_root, pair_probabilities,
-                            second_moment_ratio, similarity, threshold,
-                            threshold_ceiling)
+                            pair_probabilities, second_moment_ratio)
 
 # === critical points ===
 
@@ -108,13 +106,6 @@ def test_expected_count_validation():
 # === thresholds ===
 
 
-def test_threshold_pair_and_value():
-    th = threshold(4, 4, 2)
-    assert th.value == pytest.approx(16.0)
-    assert th.d_pow_n == 256 and th.divisor == 2
-    assert threshold(2, 3, 3).value == pytest.approx(2.0)
-
-
 @pytest.mark.parametrize("d,n,expect", [
     (5, 7, 280), (6, 10, 7776), (8, 13, 741456),
     (6, 9, 3175), (8, 12, 262144), (10, 15, 31622777),
@@ -144,6 +135,15 @@ def test_ae_count_predictions_by_side():
     # effective tightness 75/361 sits 0.0019 from the critical 0.20966
     critical = ae_count(RbParams(2, 40, 0.8, 1.7, 75 / 361), delta=0.9)
     assert critical.predicted == PREDICT_CRITICAL
+
+
+def test_ae_count_infinite_divisor_predicts_against_satisfiability():
+    params = RbParams(2, 13, 0.8, 1.7, 0.3)
+    assert ae_count(params, delta=0.9).predicted == PREDICT_NO
+    est = ae_count(params, delta=0.9, divisor=math.inf)
+    assert est.divisor == math.inf
+    # p_eff = 19/64 lies below 1 - exp(-0.8/1.7) = 0.375
+    assert est.predicted == PREDICT_YES
 
 
 def test_ae_count_band_is_configurable():
@@ -187,21 +187,7 @@ def test_ae_count_rejects_bad_delta():
             ae_count(RbParams(2, 13, 0.8, 1.7, 0.1), delta=delta)
 
 
-# === similarity and pairs ===
-
-
-def test_similarity_examples():
-    st = similarity((0, 1, 2), (0, 1, 2))
-    assert (st.similarity_number, st.similarity_degree, st.hamming) == (3, 1.0, 0)
-    st = similarity((0, 1, 2), (1, 2, 0))
-    assert (st.similarity_number, st.similarity_degree, st.hamming) == (0, 0.0, 3)
-    st = similarity((0, 0, 1, 1), (0, 0, 2, 2))
-    assert st.similarity_number == 2 and st.hamming == 2
-
-
-def test_similarity_rejects_mismatched_lengths():
-    with pytest.raises(ValueError):
-        similarity((0, 1), (0, 1, 2))
+# === assignment pairs ===
 
 
 def test_pair_probabilities_full_agreement_is_exact():
