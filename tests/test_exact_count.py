@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import math
 import random
@@ -12,7 +13,7 @@ import pytest
 from rbcount.cnf_encode import count_models, encode_direct
 from rbcount.exact_count import (CapExceeded, count_backtrack, count_brute,
                                  decide_from_count, int_nth_root, threshold_ceiling)
-from rbcount.experiments import SweepConfig
+from rbcount.experiments import SweepConfig, grid_values, instance_seed
 from rbcount.rb_model import Constraint, Instance, RbParams, generate
 from rbcount.theory import (ae_count, critical_density, critical_tightness,
                             theorem_applicability)
@@ -204,6 +205,30 @@ def test_nodes_visited_well_below_brute_on_structured_instance():
     rb, rk = count_brute(inst), count_backtrack(inst)
     assert rb.count == rk.count
     assert rk.nodes_visited < rb.nodes_visited / 10
+
+
+# (k, n, alpha, r), its p values and instances per p: the criterion-3 grid
+# at n=7 and n=10 and the count-k3 benchmark point, seeded as the sweep and
+# the benchmark seed them, instance_seed(0, p index, instance index).
+SEARCH_POINTS = [
+    ((2, 7, 0.8, 1.7), grid_values(0.05, 0.45, 0.02), 3),
+    ((2, 10, 0.8, 1.7), grid_values(0.05, 0.45, 0.02), 2),
+    ((3, 8, 0.8, 1.0), (0.05, 0.10, 0.15, 0.20), 3),
+]
+SEARCH_DIGEST = "64ffd500eba422097801aa12054651ba946f042a67df0a13e6b7ef6bf433d515"
+
+
+def test_search_work_is_pinned():
+    """The count, nodes_visited and memo_states of each instance, in order:
+    any change to the order, the pruning or the memo key moves the digest."""
+    lines = []
+    for head, ps, per_point in SEARCH_POINTS:
+        for pi, p in enumerate(ps):
+            for ii in range(per_point):
+                res = count_backtrack(generate(RbParams(*head, p, instance_seed(0, pi, ii))))
+                lines.append(f"{res.count} {res.nodes_visited} {res.memo_states}\n")
+    assert len(lines) == 117
+    assert hashlib.sha256("".join(lines).encode()).hexdigest() == SEARCH_DIGEST
 
 
 # === decisions ===
