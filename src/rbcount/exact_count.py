@@ -38,6 +38,13 @@ class CountResult:
     memo_states: int = 0
 
 
+def check_brute_cap(d: int, n: int, cap: int) -> None:
+    """Raise CapExceeded when count_brute would enumerate more than cap of
+    the d^n assignments; they depend on d and n alone."""
+    if d ** n > cap:
+        raise CapExceeded(f"{d}^{n} assignments exceeds cap {cap}")
+
+
 def count_brute(instance: Instance, cap: int = DEFAULT_BRUTE_CAP) -> CountResult:
     """Count solutions by enumerating all d^n assignments.
 
@@ -45,9 +52,8 @@ def count_brute(instance: Instance, cap: int = DEFAULT_BRUTE_CAP) -> CountResult
     serve as an independent oracle for count_backtrack.
     """
     n, d = instance.n, instance.d
+    check_brute_cap(d, n, cap)
     space = d ** n
-    if space > cap:
-        raise CapExceeded(f"{d}^{n} assignments exceeds cap {cap}")
     checks = [(c.scope, c.nogoods) for c in instance.constraints]
     count = 0
     for assignment in itertools.product(range(d), repeat=n):
@@ -60,12 +66,13 @@ def count_brute(instance: Instance, cap: int = DEFAULT_BRUTE_CAP) -> CountResult
 
 
 def _static_order(instance: Instance) -> list[int]:
-    # Descending constraint degree, ties broken by ascending variable index.
+    # Descending constraint degree, ties broken by ascending variable index:
+    # a reverse sort is still stable, so equal degrees keep their order.
     deg = [0] * instance.n
     for c in instance.constraints:
         for v in c.scope:
             deg[v] += 1
-    return sorted(range(instance.n), key=lambda v: (-deg[v], v))
+    return sorted(range(instance.n), key=deg.__getitem__, reverse=True)
 
 
 def count_backtrack(instance: Instance) -> CountResult:
@@ -111,19 +118,26 @@ def count_backtrack(instance: Instance) -> CountResult:
     last_nb = [-1] * n  # deepest neighbour of each depth
     key_mask = [0] * n
     for c in instance.constraints:
+        if len(c.scope) == 2:
+            a, b = depth_of[c.scope[0]], depth_of[c.scope[1]]
+            fire, last = (a, b) if a < b else (b, a)
+            last_nb[fire] = max(last_nb[fire], last)
+            last_nb[last] = max(last_nb[last], fire)
+            # Nogood (x, y) bans the deeper variable's value at bit last*d+value
+            # of the shallower variable's row.
+            row, base = cut[fire], last * d
+            if a < b:
+                for x, y in c.nogoods:
+                    row[x] |= 1 << base + y
+            else:
+                for x, y in c.nogoods:
+                    row[y] |= 1 << base + x
+            continue
         depths = [depth_of[v] for v in c.scope]
         *src, tgt = sorted(range(len(depths)), key=depths.__getitem__)
         fire, last = depths[src[-1]], depths[tgt]
         for x in depths:
             last_nb[x] = max(last_nb[x], fire if x == last else last)
-        if len(src) == 1:
-            banned = [0] * d
-            for ng in c.nogoods:
-                banned[ng[src[0]]] |= 1 << ng[tgt]
-            row = cut[fire]
-            for v, b in enumerate(banned):
-                row[v] |= b << last * d
-            continue
         proj = 0
         for i in src:
             proj |= full << depths[i] * d
@@ -145,13 +159,18 @@ def count_backtrack(instance: Instance) -> CountResult:
     keep = {j: [ones & ~(full << j * d | cut[j][v]) | 1 << (j * d + v) for v in range(d)]
             for j in branching}
     finals: list[list[int]] = [[] for _ in range(n)]
+    ends = [0] * n  # ends[j]: the fields that are in the key up to depth j
     for t in range(n):
         # Field t is final once its deepest neighbour is assigned, and it is
         # in the key while t is unassigned and has an unassigned neighbour.
         if 0 <= last_nb[t] < t:
             finals[last_nb[t]].append(t * d)
-        for j in range(min(t, last_nb[t]) + 1):
-            key_mask[j] |= full << t * d
+        if last_nb[t] >= 0:
+            ends[min(t, last_nb[t])] |= full << t * d
+    suffix = 0
+    for j in range(n - 1, -1, -1):
+        suffix |= ends[j]
+        key_mask[j] |= suffix
     after = dict(zip(branching, branching[1:] + [n]))
     memos: list[dict[int, int]] = [{} for _ in range(n)]
     nodes = 1

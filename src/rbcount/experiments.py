@@ -20,7 +20,7 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence, TextIO
 
-from .exact_count import (DEFAULT_BRUTE_CAP, CapExceeded, CountResult,
+from .exact_count import (DEFAULT_BRUTE_CAP, CapExceeded, CountResult, check_brute_cap,
                           check_decision_divisor, count_backtrack, count_brute,
                           decide_from_count)
 from .rb_model import (Instance, RbParams, derive_sizes, effective_tightness, generate,
@@ -144,17 +144,14 @@ def count_instance(instance: Instance, method: str, cap: int) -> CountResult:
     raise ValueError(f"unknown counting method {method!r}")
 
 
-def _generate_and_count(params: RbParams, method: str, cap: int) -> CountResult | None:
-    try:
-        return count_instance(generate(params), method, cap)
-    except CapExceeded:
-        return None
+def _generate_and_count(params: RbParams, method: str, cap: int) -> CountResult:
+    return count_instance(generate(params), method, cap)
 
 
 def count_batch(batch: Iterable[RbParams], method: str, cap: int,
-                pool: concurrent.futures.Executor | None = None) -> list[CountResult | None]:
+                pool: concurrent.futures.Executor | None = None) -> list[CountResult]:
     """Generate and count each seeded parameter set, in order, in this process
-    or on ``pool``; None marks an instance beyond the brute-force cap."""
+    or on ``pool``; an instance beyond the brute-force cap raises CapExceeded."""
     task = functools.partial(_generate_and_count, method=method, cap=cap)
     return list(map(task, batch) if pool is None else pool.map(task, batch, chunksize=4))
 
@@ -165,10 +162,16 @@ def _pool(jobs: int) -> contextlib.AbstractContextManager:
             else contextlib.nullcontext())
 
 
-def _point_batch(point: RbParams, index: int, instances: int) -> list[RbParams]:
-    """The point's instances at grid or table index ``index``, seeded from point.seed."""
-    return [dataclasses.replace(point, seed=instance_seed(point.seed, index, ii))
-            for ii in range(instances)]
+def _count_point(point: RbParams, index: int, instances: int, method: str, cap: int,
+                 pool: concurrent.futures.Executor | None) -> list[CountResult]:
+    """Count the point's instances at grid or table index ``index``, seeded
+    from point.seed.  Every instance of a point shares d and n, so a point
+    beyond the brute-force cap raises CapExceeded before any is generated."""
+    if method == "brute":
+        check_brute_cap(derive_sizes(point).d, point.n, cap)
+    batch = [dataclasses.replace(point, seed=instance_seed(point.seed, index, ii))
+             for ii in range(instances)]
+    return count_batch(batch, method, cap, pool)
 
 
 def _log_of_int(x: int) -> float:
@@ -199,11 +202,13 @@ def sweep_tightness(config: SweepConfig,
     rows = []
     with _pool(config.jobs) as pool:
         for gi, point in enumerate(config.points):
-            batch = _point_batch(point, gi, config.instances_per_point)
             started = time.perf_counter()
-            results = count_batch(batch, config.method, config.brute_cap, pool)
+            try:
+                done = _count_point(point, gi, config.instances_per_point, config.method,
+                                    config.brute_cap, pool)
+            except CapExceeded:
+                done = []
             wall_ms = (time.perf_counter() - started) * 1000.0
-            done = [res for res in results if res is not None]
             counts = [res.count for res in done]
             d = derive_sizes(point).d
             yes = sum(1 for res in done
@@ -216,7 +221,7 @@ def sweep_tightness(config: SweepConfig,
                 median_count_log=_log_median(counts) if counts else -math.inf,
                 mean_nodes=sum(res.nodes_visited for res in done) / len(done) if done else 0.0,
                 wall_ms=wall_ms,
-                cap_exceeded=len(results) - len(done),
+                cap_exceeded=config.instances_per_point - len(done),
             )
             rows.append(row)
             if progress is not None:
@@ -252,16 +257,11 @@ def _table_point(point: RbParams, instances: int, method: str, brute_cap: int,
                  jobs: int) -> tuple:
     """The row's leading cells (k, n, alpha, r, p, p_eff, instances), the
     closed-form ExpectedCount at p_eff and the exact counts of the point's
-    instances; an instance beyond the brute-force cap raises CapExceeded."""
+    instances; a point beyond the brute-force cap raises CapExceeded."""
     _check_instances(instances)
     _check_jobs(jobs)
-    batch = _point_batch(point, 0, instances)
     with _pool(jobs) as pool:
-        results = count_batch(batch, method, brute_cap, pool)
-    if any(res is None for res in results):
-        # The batch shares d and n, so counting its first instance in this
-        # process raises count_brute's own CapExceeded message.
-        count_instance(generate(batch[0]), method, brute_cap)
+        results = _count_point(point, 0, instances, method, brute_cap, pool)
     sizes = derive_sizes(point)
     p_eff = effective_tightness(point)
     lead = (point.k, point.n, point.alpha, point.r, point.p, p_eff, instances)

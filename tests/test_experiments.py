@@ -9,6 +9,7 @@ import math
 
 import pytest
 
+from rbcount import experiments
 from rbcount.exact_count import CapExceeded, count_backtrack, decide_from_count
 from rbcount.experiments import (COMPARISON_HEADER, CSV_HEADER, MAX_GRID_POINTS, AccuracyRow,
                                  SweepConfig, SweepRow,
@@ -143,6 +144,40 @@ def test_sweep_records_cap_exceedances_without_failing():
         assert row.yes_fraction == 0.0
         assert row.mean_count_log == -math.inf
         assert row.mean_nodes == 0.0
+
+
+@pytest.fixture
+def generated(monkeypatch):
+    """The parameter sets experiments generates instances from, in order."""
+    calls = []
+
+    def counting_generate(params):
+        calls.append(params)
+        return generate(params)
+
+    monkeypatch.setattr(experiments, "generate", counting_generate)
+    return calls
+
+
+def test_a_point_beyond_the_brute_cap_generates_nothing(generated):
+    point = RbParams(k=2, n=13, alpha=0.8, r=1.7, p=0.2)  # d=8
+    config = SweepConfig(point, grid_stop=0.24, grid_step=0.02, instances_per_point=30,
+                         method="brute", brute_cap=10)
+    assert [row.cap_exceeded for row in sweep_tightness(config)] == [30] * 3
+    brute = dict(instances=300, method="brute", brute_cap=10)
+    with pytest.raises(CapExceeded, match=r"^8\^13 assignments exceeds cap 10$"):
+        accuracy_table(point, [0.5], **brute)
+    with pytest.raises(CapExceeded, match=r"^8\^13 assignments exceeds cap 10$"):
+        estimator_comparison(point, **brute)
+    assert generated == []
+
+
+def test_a_point_within_the_brute_cap_generates_each_instance_once(generated):
+    config = dataclasses.replace(TINY, method="brute", brute_cap=5 ** 5,
+                                 instances_per_point=4, grid_stop=0.2)
+    rows = sweep_tightness(config)
+    assert [row.cap_exceeded for row in rows] == [0, 0]
+    assert len(generated) == 8 and len(set(generated)) == 8
 
 
 def test_sweep_rejects_unknown_method_and_axis():
