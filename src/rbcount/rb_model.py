@@ -13,7 +13,10 @@ on any machine - gives byte-identical instances.
 from __future__ import annotations
 
 import math
+import operator
+import sys
 from dataclasses import dataclass
+from itertools import islice, repeat
 from typing import Callable, Iterable, Sequence, TextIO
 
 MASK64 = (1 << 64) - 1
@@ -36,6 +39,7 @@ class InstanceFormatError(ValueError):
 _GOLDEN = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
+_LITTLE_ENDIAN = sys.byteorder == "little"
 
 
 def mix64(*words: int) -> int:
@@ -54,10 +58,50 @@ def mix64(*words: int) -> int:
     return h
 
 
+LANE_CAP = 2048  # lanes in one _lane_words pass: ints of 32 KiB
+_LOW_LANE = b"\xff" * 8 + bytes(8)
+_GOLDEN_LANE = _GOLDEN.to_bytes(16, "little")
+
+
+def _lane_words(states: Sequence[int], first: int, count: int, bits: int = 64) -> list[int]:
+    """The top bits of words first .. first+count-1 of each stream state s,
+    mix64(s ^ i) >> (64 - bits), stream by stream, in one lane-parallel pass
+    over len(states) * count lanes (see DrawStream).
+
+    Bits 128j .. 128j+63 of one int hold the j-th input s ^ i.  Each step of
+    mix64's round runs on every lane at once; a right shift drags the next
+    lane's low bits into this lane's high half, so each lane is masked back to
+    64 bits before a multiply or a shift could carry them into its low half.
+    """
+    lanes = len(states) * count
+    ramp = b"".join([i.to_bytes(16, "little") for i in range(first, first + count)])
+    x = (int.from_bytes(b"".join([s.to_bytes(16, "little") * count for s in states]), "little")
+         ^ int.from_bytes(ramp * len(states), "little"))
+    low = int.from_bytes(_LOW_LANE * lanes, "little")
+    x = (x + int.from_bytes(_GOLDEN_LANE * lanes, "little")) & low
+    x = ((x ^ (x >> 30)) & low) * _MIX1 & low
+    x = ((x ^ (x >> 27)) & low) * _MIX2 & low
+    x = ((x ^ (x >> 31)) & low) >> 64 - bits
+    # The low 64 bits of each lane: every other native 8-byte word of the
+    # little-endian bytes, or, on a big-endian host, of the big-endian bytes
+    # read from the end.
+    if _LITTLE_ENDIAN:
+        return memoryview(x.to_bytes(16 * lanes, "little")).cast("Q")[::2].tolist()
+    return memoryview(x.to_bytes(16 * lanes, "big")).cast("Q")[::-2].tolist()
+
+
 class DrawStream:
     """Counter-based random streams of one seed.  select(c) starts stream c,
     whose word i is mix64(seed, c, i): as mix64 absorbs words in order, that is
-    the one round mix64(state ^ i) from the absorbed state = mix64(seed, c)."""
+    the one round mix64(state ^ i) from the absorbed state = mix64(seed, c).
+
+    The same round also runs on many words at once (_lane_words, which
+    generate uses): word i's input state ^ i sits in its own 128-bit lane of
+    one Python int, and each step of the round is one int operation over all
+    lanes, at C speed.  A lane is 128 bits because a value below 2^64 times
+    a 64-bit constant stays below 2^128, so a multiply never carries into the
+    next lane.  One pass takes at most LANE_CAP lanes, so its ints stay within
+    32 KiB whatever the instance, and nothing sized to a pass outlives it."""
 
     __slots__ = ("seed_state", "state", "counter")
 
@@ -237,9 +281,12 @@ class Instance:
 # ---------------------------------------------------------------------------
 
 
-def _draw_distinct(stream: DrawStream, bound: int, count: int) -> set[int]:
-    # Rejection on repeats: uniform over count-subsets of [0, bound).
-    seen: set[int] = set()
+def _draw_distinct(stream: DrawStream, bound: int, count: int,
+                   seen: set[int] | None = None) -> set[int]:
+    # Rejection on repeats: uniform over count-subsets of [0, bound).  Adds
+    # draws to seen (a new set by default) until it holds count values.
+    if seen is None:
+        seen = set()
     if not 2 <= bound <= 1 << 64:  # a draw takes several words, or none
         while len(seen) < count:
             seen.add(stream.below(bound))
@@ -273,12 +320,56 @@ class _Memo(dict):
 
 
 def _decode_tuple(index: int, d: int, k: int) -> tuple[int, ...]:
-    if k == 2:
-        return divmod(index, d)
     vals = [0] * k
     for i in range(k - 1, -1, -1):
         index, vals[i] = divmod(index, d)
     return tuple(vals)
+
+
+def _expected_draws(bound: int, count: int) -> float:
+    """Expected words to draw count distinct values below bound <= 2^64: the
+    coupon collector's sum of bound/(bound - j) over j < count, about
+    bound*ln((bound + 1/2)/(bound - count + 1/2)), over the acceptance rate
+    bound/2^bits."""
+    return (1 << (bound - 1).bit_length()) * math.log1p(count / (bound - count + 0.5))
+
+
+def _take_first(stream: DrawStream, tops: list[int], extra: int, bound: int,
+                count: int, seen: set[int]) -> int:
+    """Add the draws below bound to seen until it holds count values, and
+    return the position after the last word used.  tops[i] >> extra is word
+    i of stream.state cut to the bits a draw below bound takes; past tops,
+    or when a draw takes more than one word, the stream's own round goes on."""
+    pos = 0
+    if bound <= 1 << 64:
+        for pos, v in enumerate(tops, 1):
+            u = v >> extra
+            if u < bound:
+                seen.add(u)
+                if len(seen) == count:
+                    return pos
+    stream.counter = pos
+    _draw_distinct(stream, bound, count, seen)
+    return stream.counter
+
+
+def _take_rest(stream: DrawStream, tops: list[int], pos: int, extra: int, bound: int,
+               count: int) -> Iterable[int]:
+    """count distinct draws below bound from word pos on, drawn as
+    _take_first draws them: the first count distinct accepted values of
+    tops[pos:] >> extra, then the stream's own round past tops."""
+    seen: set[int] = set()
+    if bound <= 1 << 64 and pos < len(tops):
+        cut = islice(tops, pos, None)
+        if extra:
+            cut = map(operator.rshift, cut, repeat(extra))
+        firsts = dict.fromkeys(filter(bound.__gt__, cut))
+        if len(firsts) >= count:
+            return islice(firsts, count)
+        seen.update(firsts)
+        pos = len(tops)
+    stream.counter = pos
+    return _draw_distinct(stream, bound, count, seen)
 
 
 def generate(params: RbParams) -> Instance:
@@ -288,18 +379,44 @@ def generate(params: RbParams) -> Instance:
     Constraint c draws its scope, then its nogoods, from stream c, whose word i
     is mix64(seed, c, i), one round from the absorbed state (see DrawStream).
     Scopes may repeat across constraints; equal parameters give equal instances.
+
+    The words come in lane-parallel passes (see _lane_words).  One pass
+    gives a group of constraints their stream states.  The next gives each
+    of them a batch of its first words, about as many as its draws are
+    expected to take, cut to the top bits the wider of its two bounds needs;
+    a group holds at most LANE_CAP words.  The draws consume a batch by the
+    stream's own rejection rules, and a batch that runs short is topped up
+    word by word.  A bound above 2^64 takes several words a draw, and those
+    draws are made word by word.
     """
     sizes = derive_sizes(params)
-    k, d = params.k, sizes.d
+    k, n, d, m, t = params.k, params.n, sizes.d, sizes.m, sizes.t_nogoods
+    tuples = d ** k
     stream = DrawStream(params.seed)
-    decoded = _Memo(lambda index: _decode_tuple(index, d, k))
+    decode = d.__rdivmod__ if k == 2 else lambda index: _decode_tuple(index, d, k)
+    # every index, when the draws are likely to touch most of them
+    decoded = list(map(decode, range(tuples))) if tuples <= m * t else _Memo(decode)
+    # Draws below a bound of at most 2^64 take one word each and come from the
+    # lanes, cut to the top bits that the wider such bound needs.
+    lane_bounds = [(bound, count) for bound, count in ((n, k), (tuples, t)) if bound <= 1 << 64]
+    expected = sum(_expected_draws(bound, count) for bound, count in lane_bounds)
+    batch = min(math.ceil(expected), LANE_CAP)
+    group = LANE_CAP // max(batch, 1)
+    top = max([(bound - 1).bit_length() for bound, _ in lane_bounds], default=0)
+    n_extra = top - (n - 1).bit_length()
+    t_extra = top - (tuples - 1).bit_length()
     constraints = []
-    for ci in range(sizes.m):
-        stream.select(ci)
-        scope = tuple(sorted(_draw_distinct(stream, params.n, k)))
-        drawn = _draw_distinct(stream, d ** k, sizes.t_nogoods)
-        nogoods = frozenset(map(decoded.__getitem__, drawn))
-        constraints.append(Constraint(scope, nogoods))
+    for c0 in range(0, m, group):
+        states = _lane_words([stream.seed_state], c0, min(group, m - c0))
+        tops = _lane_words(states, 0, batch, top)
+        for j, state in enumerate(states):
+            ws = tops[j * batch:(j + 1) * batch]
+            stream.state = state
+            seen: set[int] = set()
+            pos = _take_first(stream, ws, n_extra, n, k, seen)
+            drawn = _take_rest(stream, ws, pos, t_extra, tuples, t)
+            constraints.append(Constraint(tuple(sorted(seen)),
+                                          frozenset(map(decoded.__getitem__, drawn))))
     return Instance(params.n, sizes.d, tuple(constraints), provenance=(params, sizes))
 
 

@@ -11,10 +11,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rbcount.rb_model import (Constraint, DerivedSizes, DrawStream, Instance,
-                              InstanceFormatError, RbParams, derive_sizes,
-                              effective_tightness, generate, mix64, read_instance,
-                              round_half_up, write_instance)
+from rbcount import rb_model
+from rbcount.rb_model import (LANE_CAP, MASK64, Constraint, DerivedSizes, DrawStream, Instance,
+                              InstanceFormatError, RbParams, _draw_distinct, _lane_words,
+                              derive_sizes, effective_tightness, generate, mix64,
+                              read_instance, round_half_up, write_instance)
 from rbcount.theory import theorem_applicability
 
 
@@ -108,6 +109,88 @@ def test_stream_word_i_is_mix64_of_seed_stream_and_i(seed, stream_id, words):
     stream = DrawStream(seed, stream_id)
     assert ([stream.next_word() for _ in range(words)]
             == [mix64(seed, stream_id, i) for i in range(words)])
+
+
+# Lane inputs that stress the lane boundaries: all zeros next to all ones,
+# alternating bits, and values whose golden-ratio add carries out of 64 bits.
+EDGE_STATES = [0, MASK64, 0xAAAAAAAAAAAAAAAA, 0x5555555555555555, MASK64, 0,
+               (1 << 64) - 0x9E3779B97F4A7C15, 1 << 63, 1, MASK64 - 1]
+
+
+@pytest.mark.parametrize("bits", [64, 63, 34, 10, 5, 1])
+def test_lane_words_match_mix64_lane_by_lane(bits):
+    # count=1 from word 0: each lane holds one edge state as it is
+    assert (_lane_words(EDGE_STATES, 0, 1, bits)
+            == [mix64(s) >> 64 - bits for s in EDGE_STATES])
+    assert (_lane_words(EDGE_STATES, 5, 7, bits)
+            == [mix64(s ^ i) >> 64 - bits for s in EDGE_STATES for i in range(5, 12)])
+
+
+def test_lane_words_fill_the_cap_and_give_stream_states():
+    states = [mix64(c) for c in range(8)]
+    count = LANE_CAP // len(states)
+    assert _lane_words(states, 0, count) == [mix64(s ^ i) for s in states for i in range(count)]
+    stream = DrawStream(99)
+    assert _lane_words([stream.seed_state], 40, 3) == [mix64(99, c) for c in (40, 41, 42)]
+    assert _lane_words([], 0, 5) == _lane_words(states, 0, 0) == []
+
+
+def reference_generate(params):
+    """generate as the stream draws it: constraint by constraint, word by word."""
+    sizes = derive_sizes(params)
+    k, d = params.k, sizes.d
+    stream = DrawStream(params.seed)
+    constraints = []
+    for ci in range(sizes.m):
+        stream.select(ci)
+        scope = tuple(sorted(_draw_distinct(stream, params.n, k)))
+        drawn = _draw_distinct(stream, d ** k, sizes.t_nogoods)
+        constraints.append(Constraint(scope, frozenset(
+            tuple(index // d ** (k - 1 - i) % d for i in range(k)) for index in drawn)))
+    return Instance(params.n, d, tuple(constraints), provenance=(params, sizes))
+
+
+@settings(max_examples=150, deadline=None)
+@given(k=st.integers(2, 5), extra=st.integers(0, 8), alpha=st.floats(0.4, 1.3),
+       r=st.floats(0.05, 2.0), t=st.integers(1, 400), seed=st.integers(0, 2 ** 64 - 1))
+def test_generate_matches_the_word_by_word_reference(k, extra, alpha, r, t, seed):
+    n = k + extra
+    d = max(2, round_half_up(n ** alpha))
+    params = RbParams(k, n, alpha, r, min(t, d ** k - 1) / d ** k, seed)
+    assert generate(params) == reference_generate(params)
+
+
+@pytest.mark.parametrize("params", [
+    RbParams(2, 7, 0.8, 1.7, 0.45, seed=3),         # d=5 m=23 t=11
+    RbParams(3, 15, 0.85, 1.4, 0.26, seed=2 ** 64 - 1),  # d=10 m=57 t=260
+    RbParams(5, 6, 1.2, 0.5, 0.002, seed=7),       # d=9 m=5 t=118
+    RbParams(12, 12, 1.9, 0.5, 1e-30, seed=1),     # d^k > 2^64: nogoods word by word
+    RbParams(2, 2 ** 65, 0.01, 1e-25, 0.5, seed=5),  # n > 2^64: scope word by word
+], ids=["n7", "export-n15", "k5", "wide-nogoods", "wide-scope"])
+@pytest.mark.parametrize("lane_cap,expected", [
+    (LANE_CAP, None),  # as generate sizes them
+    (LANE_CAP, 0.5),   # a batch of one word: every constraint is topped up
+    (16, None),        # many passes, and batches cut to the cap
+    (1, 3.0),          # one lane a pass
+], ids=["default", "short-batch", "small-cap", "one-lane"])
+def test_generate_matches_the_reference_for_any_batch_and_cap(
+        params, lane_cap, expected, monkeypatch):
+    passes = []
+    real_lane_words = rb_model._lane_words
+
+    def recording_lane_words(states, first, count, bits=64):
+        passes.append(len(states) * count)
+        return real_lane_words(states, first, count, bits)
+
+    monkeypatch.setattr(rb_model, "_lane_words", recording_lane_words)
+    monkeypatch.setattr(rb_model, "LANE_CAP", lane_cap)
+    if expected is not None:
+        monkeypatch.setattr(rb_model, "_expected_draws", lambda bound, count: expected)
+    assert generate(params) == reference_generate(params)
+    assert max(passes) <= lane_cap
+    several = lane_cap < LANE_CAP or (expected is None and params.n == 15)
+    if several and derive_sizes(params).m > 1:
+        assert len(passes) > 2  # m x batch is over the cap: several groups
 
 
 def test_generate_is_deterministic():
