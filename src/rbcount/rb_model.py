@@ -335,11 +335,12 @@ def _expected_draws(bound: int, count: int) -> float:
 
 
 def _take_first(stream: DrawStream, tops: list[int], extra: int, bound: int,
-                count: int, seen: set[int]) -> int:
-    """Add the draws below bound to seen until it holds count values, and
-    return the position after the last word used.  tops[i] >> extra is word
-    i of stream.state cut to the bits a draw below bound takes; past tops,
-    or when a draw takes more than one word, the stream's own round goes on."""
+                count: int) -> tuple[set[int], int]:
+    """count distinct draws below bound from the start of stream.state's
+    words, and the position after the last word used.  tops[i] >> extra is
+    word i cut to the bits a draw below bound takes; past tops, or when a
+    draw takes more than one word, the stream's own round goes on."""
+    seen: set[int] = set()
     pos = 0
     if bound <= 1 << 64:
         for pos, v in enumerate(tops, 1):
@@ -347,10 +348,10 @@ def _take_first(stream: DrawStream, tops: list[int], extra: int, bound: int,
             if u < bound:
                 seen.add(u)
                 if len(seen) == count:
-                    return pos
+                    return seen, pos
     stream.counter = pos
     _draw_distinct(stream, bound, count, seen)
-    return stream.counter
+    return seen, stream.counter
 
 
 def _take_rest(stream: DrawStream, tops: list[int], pos: int, extra: int, bound: int,
@@ -412,10 +413,9 @@ def generate(params: RbParams) -> Instance:
         for j, state in enumerate(states):
             ws = tops[j * batch:(j + 1) * batch]
             stream.state = state
-            seen: set[int] = set()
-            pos = _take_first(stream, ws, n_extra, n, k, seen)
+            scope, pos = _take_first(stream, ws, n_extra, n, k)
             drawn = _take_rest(stream, ws, pos, t_extra, tuples, t)
-            constraints.append(Constraint(tuple(sorted(seen)),
+            constraints.append(Constraint(tuple(sorted(scope)),
                                           frozenset(map(decoded.__getitem__, drawn))))
     return Instance(params.n, sizes.d, tuple(constraints), provenance=(params, sizes))
 
