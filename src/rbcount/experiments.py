@@ -144,6 +144,13 @@ def count_instance(instance: Instance, method: str, cap: int) -> CountResult:
     raise ValueError(f"unknown counting method {method!r}")
 
 
+def check_method_cap(method: str, d: int, n: int, cap: int) -> None:
+    """Raise CapExceeded when count_instance by method would refuse every
+    instance with d values and n variables: only "brute" counting is capped."""
+    if method == "brute":
+        check_brute_cap(d, n, cap)
+
+
 def _generate_and_count(params: RbParams, method: str, cap: int) -> CountResult:
     return count_instance(generate(params), method, cap)
 
@@ -167,8 +174,7 @@ def _count_point(point: RbParams, index: int, instances: int, method: str, cap: 
     """Count the point's instances at grid or table index ``index``, seeded
     from point.seed.  Every instance of a point shares d and n, so a point
     beyond the brute-force cap raises CapExceeded before any is generated."""
-    if method == "brute":
-        check_brute_cap(derive_sizes(point).d, point.n, cap)
+    check_method_cap(method, derive_sizes(point).d, point.n, cap)
     batch = [dataclasses.replace(point, seed=instance_seed(point.seed, index, ii))
              for ii in range(instances)]
     return count_batch(batch, method, cap, pool)

@@ -13,10 +13,9 @@ on any machine - gives byte-identical instances.
 from __future__ import annotations
 
 import math
-import operator
 import sys
 from dataclasses import dataclass
-from itertools import islice, repeat
+from itertools import islice
 from typing import Callable, Iterable, Sequence, TextIO
 
 MASK64 = (1 << 64) - 1
@@ -320,6 +319,8 @@ class _Memo(dict):
 
 
 def _decode_tuple(index: int, d: int, k: int) -> tuple[int, ...]:
+    if k == 2:
+        return divmod(index, d)
     vals = [0] * k
     for i in range(k - 1, -1, -1):
         index, vals[i] = divmod(index, d)
@@ -334,16 +335,15 @@ def _expected_draws(bound: int, count: int) -> float:
     return (1 << (bound - 1).bit_length()) * math.log1p(count / (bound - count + 0.5))
 
 
-def _take_first(stream: DrawStream, tops: list[int], extra: int, bound: int,
-                count: int) -> tuple[set[int], int]:
-    """count distinct draws below bound from the start of stream.state's
-    words, and the position after the last word used.  tops[i] >> extra is
-    word i cut to the bits a draw below bound takes; past tops, or when a
-    draw takes more than one word, the stream's own round goes on."""
+def _take(stream: DrawStream, tops: list[int], pos: int, extra: int, bound: int,
+          count: int) -> tuple[set[int], int]:
+    """count distinct draws below bound from word pos of stream.state's words
+    on, and the position after the last word used.  tops[i] >> extra is word i
+    cut to the bits a draw below bound takes; past tops, or when a draw takes
+    more than one word, the stream's own round goes on."""
     seen: set[int] = set()
-    pos = 0
     if bound <= 1 << 64:
-        for pos, v in enumerate(tops, 1):
+        for pos, v in enumerate(islice(tops, pos, None), pos + 1):
             u = v >> extra
             if u < bound:
                 seen.add(u)
@@ -352,25 +352,6 @@ def _take_first(stream: DrawStream, tops: list[int], extra: int, bound: int,
     stream.counter = pos
     _draw_distinct(stream, bound, count, seen)
     return seen, stream.counter
-
-
-def _take_rest(stream: DrawStream, tops: list[int], pos: int, extra: int, bound: int,
-               count: int) -> Iterable[int]:
-    """count distinct draws below bound from word pos on, drawn as
-    _take_first draws them: the first count distinct accepted values of
-    tops[pos:] >> extra, then the stream's own round past tops."""
-    seen: set[int] = set()
-    if bound <= 1 << 64 and pos < len(tops):
-        cut = islice(tops, pos, None)
-        if extra:
-            cut = map(operator.rshift, cut, repeat(extra))
-        firsts = dict.fromkeys(filter(bound.__gt__, cut))
-        if len(firsts) >= count:
-            return islice(firsts, count)
-        seen.update(firsts)
-        pos = len(tops)
-    stream.counter = pos
-    return _draw_distinct(stream, bound, count, seen)
 
 
 def generate(params: RbParams) -> Instance:
@@ -394,9 +375,7 @@ def generate(params: RbParams) -> Instance:
     k, n, d, m, t = params.k, params.n, sizes.d, sizes.m, sizes.t_nogoods
     tuples = d ** k
     stream = DrawStream(params.seed)
-    decode = d.__rdivmod__ if k == 2 else lambda index: _decode_tuple(index, d, k)
-    # every index, when the draws are likely to touch most of them
-    decoded = list(map(decode, range(tuples))) if tuples <= m * t else _Memo(decode)
+    decoded = _Memo(lambda index: _decode_tuple(index, d, k))
     # Draws below a bound of at most 2^64 take one word each and come from the
     # lanes, cut to the top bits that the wider such bound needs.
     lane_bounds = [(bound, count) for bound, count in ((n, k), (tuples, t)) if bound <= 1 << 64]
@@ -413,8 +392,8 @@ def generate(params: RbParams) -> Instance:
         for j, state in enumerate(states):
             ws = tops[j * batch:(j + 1) * batch]
             stream.state = state
-            scope, pos = _take_first(stream, ws, n_extra, n, k)
-            drawn = _take_rest(stream, ws, pos, t_extra, tuples, t)
+            scope, pos = _take(stream, ws, 0, n_extra, n, k)
+            drawn, _ = _take(stream, ws, pos, t_extra, tuples, t)
             constraints.append(Constraint(tuple(sorted(scope)),
                                           frozenset(map(decoded.__getitem__, drawn))))
     return Instance(params.n, sizes.d, tuple(constraints), provenance=(params, sizes))

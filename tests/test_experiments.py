@@ -12,7 +12,7 @@ import pytest
 from rbcount import experiments
 from rbcount.exact_count import CapExceeded, count_backtrack, decide_from_count
 from rbcount.experiments import (COMPARISON_HEADER, CSV_HEADER, MAX_GRID_POINTS, AccuracyRow,
-                                 SweepConfig, SweepRow,
+                                 SweepConfig, SweepRow, check_method_cap,
                                  accuracy_header, accuracy_table,
                                  crossing_point, emit_csv, emit_svg_plot,
                                  estimator_comparison, grid_values,
@@ -178,6 +178,13 @@ def test_a_point_within_the_brute_cap_generates_each_instance_once(generated):
     rows = sweep_tightness(config)
     assert [row.cap_exceeded for row in rows] == [0, 0]
     assert len(generated) == 8 and len(set(generated)) == 8
+
+
+def test_only_brute_counting_is_capped():
+    check_method_cap("backtrack", 8, 13, 10)
+    check_method_cap("brute", 8, 3, 8 ** 3)
+    with pytest.raises(CapExceeded, match=r"^8\^4 assignments exceeds cap 4095$"):
+        check_method_cap("brute", 8, 4, 8 ** 4 - 1)
 
 
 def test_sweep_rejects_unknown_method_and_axis():
