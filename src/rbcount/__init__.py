@@ -11,7 +11,7 @@ from .cnf_encode import Cnf, DimacsError, count_models, encode_direct, read_dima
 from .exact_count import (CapExceeded, CountResult, count_backtrack, count_brute,
                           decide_from_count, int_nth_root, threshold_ceiling)
 from .experiments import (AccuracyRow, ComparisonRow, SweepConfig, SweepRow,
-                          accuracy_table, count_batch, count_instance,
+                          accuracy_table, count_instance,
                           critical_value, crossing_point, emit_csv, emit_svg_plot,
                           estimator_comparison, sweep_tightness, write_manifest)
 from .rb_model import (Assignment, Constraint, DerivedSizes, Instance,

@@ -326,8 +326,8 @@ def main(argv: list[str] | None = None) -> int:
         print(exc, file=sys.stderr)
         return 1
     except (InstanceFormatError, DimacsError, CapExceeded, ValueError,
-            OSError, RecursionError) as exc:
-        print(f"rbcount: error: {exc}", file=sys.stderr)
+            OSError, RecursionError, OverflowError, MemoryError) as exc:
+        print(f"rbcount: error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
 
 

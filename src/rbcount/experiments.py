@@ -1,7 +1,7 @@
 """Grid experiments over the random instance family.
 
 Sweeps over p or r, and tables of exact counts against the closed-form mean,
-start from one ``RbParams`` point and share one pipeline: ``count_batch``
+start from one ``RbParams`` point and share one pipeline: ``_count_point``
 generates and counts each point's seeded batch (in one process pool per run
 for ``jobs`` > 1) and ``emit_csv`` writes the dataclass rows.  Instance seeds
 mix the point's seed with the (point, index) pair as the generator mixes its
@@ -155,14 +155,6 @@ def _generate_and_count(params: RbParams, method: str, cap: int) -> CountResult:
     return count_instance(generate(params), method, cap)
 
 
-def count_batch(batch: Iterable[RbParams], method: str, cap: int,
-                pool: concurrent.futures.Executor | None = None) -> list[CountResult]:
-    """Generate and count each seeded parameter set, in order, in this process
-    or on ``pool``; an instance beyond the brute-force cap raises CapExceeded."""
-    task = functools.partial(_generate_and_count, method=method, cap=cap)
-    return list(map(task, batch) if pool is None else pool.map(task, batch, chunksize=4))
-
-
 def _pool(jobs: int) -> contextlib.AbstractContextManager:
     """One process pool for a whole sweep or table; for one job, None in its place."""
     return (concurrent.futures.ProcessPoolExecutor(max_workers=jobs) if jobs > 1
@@ -171,13 +163,15 @@ def _pool(jobs: int) -> contextlib.AbstractContextManager:
 
 def _count_point(point: RbParams, index: int, instances: int, method: str, cap: int,
                  pool: concurrent.futures.Executor | None) -> list[CountResult]:
-    """Count the point's instances at grid or table index ``index``, seeded
-    from point.seed.  Every instance of a point shares d and n, so a point
-    beyond the brute-force cap raises CapExceeded before any is generated."""
+    """Generate and count the point's instances at grid or table index
+    ``index``, seeded from point.seed, in order, in this process or on
+    ``pool``.  Every instance of a point shares d and n, so a point beyond
+    the brute-force cap raises CapExceeded before any is generated."""
     check_method_cap(method, derive_sizes(point).d, point.n, cap)
     batch = [dataclasses.replace(point, seed=instance_seed(point.seed, index, ii))
              for ii in range(instances)]
-    return count_batch(batch, method, cap, pool)
+    task = functools.partial(_generate_and_count, method=method, cap=cap)
+    return list(map(task, batch) if pool is None else pool.map(task, batch, chunksize=4))
 
 
 def _log_of_int(x: int) -> float:

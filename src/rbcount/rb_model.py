@@ -6,8 +6,9 @@ and an explicit set of forbidden value tuples (nogoods).  Domain size and
 constraint count grow with n as d = n^alpha and m = r * n * ln(n), which is
 what makes the family exhibit sharp thresholds.  Everything here is
 deterministic given the parameters: the generator derives every random draw
-from (seed, constraint index, draw counter), so regenerating - in any order,
-on any machine - gives byte-identical instances.
+from (seed, constraint index, draw counter), word i of constraint c being
+mix64(seed, c, i), so regenerating - in any order, on any machine - gives
+byte-identical instances.
 """
 
 from __future__ import annotations
@@ -65,12 +66,16 @@ _GOLDEN_LANE = _GOLDEN.to_bytes(16, "little")
 def _lane_words(states: Sequence[int], first: int, count: int, bits: int = 64) -> list[int]:
     """The top bits of words first .. first+count-1 of each stream state s,
     mix64(s ^ i) >> (64 - bits), stream by stream, in one lane-parallel pass
-    over len(states) * count lanes (see DrawStream).
+    over len(states) * count lanes.
 
-    Bits 128j .. 128j+63 of one int hold the j-th input s ^ i.  Each step of
-    mix64's round runs on every lane at once; a right shift drags the next
-    lane's low bits into this lane's high half, so each lane is masked back to
-    64 bits before a multiply or a shift could carry them into its low half.
+    Bits 128j .. 128j+63 of one int hold the j-th input s ^ i, and each step
+    of mix64's round is one int operation over all lanes, at C speed.  A lane
+    is 128 bits because a value below 2^64 times a 64-bit constant stays below
+    2^128, so a multiply never carries into the next lane.  A right shift drags
+    the next lane's low bits into this lane's high half, so each lane is masked
+    back to 64 bits before a multiply or a shift could carry them into its low
+    half.  Callers keep a pass within LANE_CAP lanes, so its ints stay within
+    32 KiB whatever the instance, and nothing sized to a pass outlives it.
     """
     lanes = len(states) * count
     ramp = b"".join([i.to_bytes(16, "little") for i in range(first, first + count)])
@@ -87,52 +92,6 @@ def _lane_words(states: Sequence[int], first: int, count: int, bits: int = 64) -
     if _LITTLE_ENDIAN:
         return memoryview(x.to_bytes(16 * lanes, "little")).cast("Q")[::2].tolist()
     return memoryview(x.to_bytes(16 * lanes, "big")).cast("Q")[::-2].tolist()
-
-
-class DrawStream:
-    """Counter-based random streams of one seed.  select(c) starts stream c,
-    whose word i is mix64(seed, c, i): as mix64 absorbs words in order, that is
-    the one round mix64(state ^ i) from the absorbed state = mix64(seed, c).
-
-    The same round also runs on many words at once (_lane_words, which
-    generate uses): word i's input state ^ i sits in its own 128-bit lane of
-    one Python int, and each step of the round is one int operation over all
-    lanes, at C speed.  A lane is 128 bits because a value below 2^64 times
-    a 64-bit constant stays below 2^128, so a multiply never carries into the
-    next lane.  One pass takes at most LANE_CAP lanes, so its ints stay within
-    32 KiB whatever the instance, and nothing sized to a pass outlives it."""
-
-    __slots__ = ("seed_state", "state", "counter")
-
-    def __init__(self, seed: int, stream_id: int = 0):
-        self.seed_state = mix64(seed)
-        self.select(stream_id)
-
-    def select(self, stream_id: int) -> None:
-        self.state = mix64(self.seed_state ^ stream_id)
-        self.counter = 0
-
-    def next_word(self) -> int:
-        w = mix64(self.state ^ self.counter)
-        self.counter += 1
-        return w
-
-    def below(self, bound: int) -> int:
-        """Uniform integer in [0, bound), unbiased via rejection on top bits."""
-        if bound <= 0:
-            raise ValueError("bound must be positive")
-        if bound == 1:
-            return 0
-        bits = (bound - 1).bit_length()
-        words = (bits + 63) // 64
-        excess = words * 64 - bits
-        while True:
-            u = 0
-            for _ in range(words):
-                u = (u << 64) | self.next_word()
-            u >>= excess
-            if u < bound:
-                return u
 
 
 # ---------------------------------------------------------------------------
@@ -280,31 +239,6 @@ class Instance:
 # ---------------------------------------------------------------------------
 
 
-def _draw_distinct(stream: DrawStream, bound: int, count: int,
-                   seen: set[int] | None = None) -> set[int]:
-    # Rejection on repeats: uniform over count-subsets of [0, bound).  Adds
-    # draws to seen (a new set by default) until it holds count values.
-    if seen is None:
-        seen = set()
-    if not 2 <= bound <= 1 << 64:  # a draw takes several words, or none
-        while len(seen) < count:
-            seen.add(stream.below(bound))
-        return seen
-    # stream.below(bound), one word a draw, with next_word's round written out
-    shift = 64 - (bound - 1).bit_length()
-    state, i = stream.state, stream.counter
-    while len(seen) < count:
-        h = ((state ^ i) + _GOLDEN) & MASK64
-        h = ((h ^ (h >> 30)) * _MIX1) & MASK64
-        h = ((h ^ (h >> 27)) * _MIX2) & MASK64
-        u = (h ^ (h >> 31)) >> shift
-        i += 1
-        if u < bound:
-            seen.add(u)
-    stream.counter = i
-    return seen
-
-
 class _Memo(dict):
     """key -> fn(key), computed on first lookup.  One instance repeats the same
     few tuple indices and text tokens many times over."""
@@ -335,23 +269,44 @@ def _expected_draws(bound: int, count: int) -> float:
     return (1 << (bound - 1).bit_length()) * math.log1p(count / (bound - count + 0.5))
 
 
-def _take(stream: DrawStream, tops: list[int], pos: int, extra: int, bound: int,
+def _take(state: int, tops: list[int], pos: int, top: int, bound: int,
           count: int) -> tuple[set[int], int]:
-    """count distinct draws below bound from word pos of stream.state's words
-    on, and the position after the last word used.  tops[i] >> extra is word i
-    cut to the bits a draw below bound takes; past tops, or when a draw takes
-    more than one word, the stream's own round goes on."""
+    """count distinct draws below bound from word pos of stream state's words
+    on, and the position after the last word used.  A draw is the top bits of
+    as many whole words as bound needs, rejected when it is not below bound or
+    repeats an earlier draw: uniform over the count-subsets of [0, bound).
+
+    tops[i] is word i cut to its top `top` bits.  Past tops, the round goes on
+    word by word; a bound above 2^64 joins several words a draw from pos on."""
     seen: set[int] = set()
-    if bound <= 1 << 64:
+    bits = (bound - 1).bit_length()
+    if bits <= 64:
+        extra = top - bits
         for pos, v in enumerate(islice(tops, pos, None), pos + 1):
             u = v >> extra
             if u < bound:
                 seen.add(u)
                 if len(seen) == count:
                     return seen, pos
-    stream.counter = pos
-    _draw_distinct(stream, bound, count, seen)
-    return seen, stream.counter
+        while len(seen) < count:  # mix64(state ^ pos) >> 64 - bits, written out
+            h = ((state ^ pos) + _GOLDEN) & MASK64
+            h = ((h ^ (h >> 30)) * _MIX1) & MASK64
+            h = ((h ^ (h >> 27)) * _MIX2) & MASK64
+            u = (h ^ (h >> 31)) >> 64 - bits
+            pos += 1
+            if u < bound:
+                seen.add(u)
+        return seen, pos
+    words = (bits + 63) // 64
+    while len(seen) < count:
+        u = 0
+        for i in range(pos, pos + words):
+            u = u << 64 | mix64(state ^ i)
+        pos += words
+        u >>= words * 64 - bits
+        if u < bound:
+            seen.add(u)
+    return seen, pos
 
 
 def generate(params: RbParams) -> Instance:
@@ -359,22 +314,24 @@ def generate(params: RbParams) -> Instance:
     forbidden tuples drawn uniformly without replacement.
 
     Constraint c draws its scope, then its nogoods, from stream c, whose word i
-    is mix64(seed, c, i), one round from the absorbed state (see DrawStream).
+    is mix64(seed, c, i).  As mix64 absorbs words in order, that is one round,
+    mix64(state ^ i), from the stream's state mix64(seed, c), a plain int that
+    is itself one round, mix64(seed_state ^ c), from seed_state = mix64(seed).
     Scopes may repeat across constraints; equal parameters give equal instances.
 
     The words come in lane-parallel passes (see _lane_words).  One pass
     gives a group of constraints their stream states.  The next gives each
     of them a batch of its first words, about as many as its draws are
     expected to take, cut to the top bits the wider of its two bounds needs;
-    a group holds at most LANE_CAP words.  The draws consume a batch by the
-    stream's own rejection rules, and a batch that runs short is topped up
-    word by word.  A bound above 2^64 takes several words a draw, and those
-    draws are made word by word.
+    a group holds at most LANE_CAP words, the cap on one pass.  _take consumes
+    a batch by the stream's rejection rules, and tops up a batch that runs
+    short word by word.  A bound above 2^64 takes several words a draw, and
+    those draws are made word by word.
     """
     sizes = derive_sizes(params)
     k, n, d, m, t = params.k, params.n, sizes.d, sizes.m, sizes.t_nogoods
     tuples = d ** k
-    stream = DrawStream(params.seed)
+    seed_state = mix64(params.seed)
     decoded = _Memo(lambda index: _decode_tuple(index, d, k))
     # Draws below a bound of at most 2^64 take one word each and come from the
     # lanes, cut to the top bits that the wider such bound needs.
@@ -383,17 +340,14 @@ def generate(params: RbParams) -> Instance:
     batch = min(math.ceil(expected), LANE_CAP)
     group = LANE_CAP // max(batch, 1)
     top = max([(bound - 1).bit_length() for bound, _ in lane_bounds], default=0)
-    n_extra = top - (n - 1).bit_length()
-    t_extra = top - (tuples - 1).bit_length()
     constraints = []
     for c0 in range(0, m, group):
-        states = _lane_words([stream.seed_state], c0, min(group, m - c0))
+        states = _lane_words([seed_state], c0, min(group, m - c0))
         tops = _lane_words(states, 0, batch, top)
         for j, state in enumerate(states):
             ws = tops[j * batch:(j + 1) * batch]
-            stream.state = state
-            scope, pos = _take(stream, ws, 0, n_extra, n, k)
-            drawn, _ = _take(stream, ws, pos, t_extra, tuples, t)
+            scope, pos = _take(state, ws, 0, top, n, k)
+            drawn, _ = _take(state, ws, pos, top, tuples, t)
             constraints.append(Constraint(tuple(sorted(scope)),
                                           frozenset(map(decoded.__getitem__, drawn))))
     return Instance(params.n, sizes.d, tuple(constraints), provenance=(params, sizes))

@@ -8,6 +8,7 @@ import sys
 
 import pytest
 
+from rbcount import experiments
 from rbcount.cli import main
 from rbcount.cnf_encode import read_dimacs
 from rbcount.experiments import CSV_HEADER, sweep_header
@@ -198,6 +199,30 @@ def test_deep_instance_is_a_runtime_error(tmp_path, capsys):
     code, out, err = run(["count", str(chain)], capsys)
     assert code == 2 and out == ""
     assert err.startswith("rbcount: error: ") and err.count("\n") == 1
+
+
+def _out_of_memory(instance):
+    raise MemoryError
+
+
+# Never run encode on these files: on a huge d its first clause lists d values,
+# and it allocates without bound.
+@pytest.mark.parametrize("command", ["count", "decide"])
+@pytest.mark.parametrize("sizes,counter", [
+    ("n 3 d 1" + "0" * 30 + " k 2 m 1\nc 0 1\ng 0 0\n", None),  # (1 << d) - 1 overflows
+    ("n 1" + "0" * 30 + " d 2 k 2 m 0\n", None),  # n is past an index-sized int
+    ("n 3 d 4 k 2 m 1\nc 0 1\ng 0 0\n", _out_of_memory),  # the counter's tables do not fit
+], ids=["huge-d", "huge-n", "out-of-memory"])
+def test_instances_too_large_to_count_exit_2(command, sizes, counter, tmp_path, capsys,
+                                             monkeypatch):
+    if counter is not None:
+        monkeypatch.setattr(experiments, "count_backtrack", counter)
+    path = tmp_path / "big.rbcsp"
+    path.write_text("rbcsp 1\n" + sizes)
+    code, out, err = run([command, str(path)], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("rbcount: error: ") and err.count("\n") == 1
+    assert err.removeprefix("rbcount: error: ").strip()  # a MemoryError has no message
 
 
 @pytest.fixture

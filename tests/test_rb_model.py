@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import io
+import itertools
 import math
 import random
 import re
@@ -12,10 +13,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rbcount import rb_model
-from rbcount.rb_model import (LANE_CAP, MASK64, Constraint, DerivedSizes, DrawStream, Instance,
-                              InstanceFormatError, RbParams, _draw_distinct, _lane_words,
-                              derive_sizes, effective_tightness, generate, mix64,
-                              read_instance, round_half_up, write_instance)
+from rbcount.rb_model import (LANE_CAP, MASK64, Constraint, DerivedSizes, Instance,
+                              InstanceFormatError, RbParams, _lane_words, derive_sizes,
+                              effective_tightness, generate, mix64, read_instance,
+                              round_half_up, write_instance)
 from rbcount.theory import theorem_applicability
 
 
@@ -102,15 +103,6 @@ def test_effective_tightness_reflects_rounding():
 # === the generator ===
 
 
-@settings(max_examples=200, deadline=None)
-@given(seed=st.integers(0, 2 ** 64 - 1), stream_id=st.integers(0, 2 ** 64 - 1),
-       words=st.integers(1, 40))
-def test_stream_word_i_is_mix64_of_seed_stream_and_i(seed, stream_id, words):
-    stream = DrawStream(seed, stream_id)
-    assert ([stream.next_word() for _ in range(words)]
-            == [mix64(seed, stream_id, i) for i in range(words)])
-
-
 # Lane inputs that stress the lane boundaries: all zeros next to all ones,
 # alternating bits, and values whose golden-ratio add carries out of 64 bits.
 EDGE_STATES = [0, MASK64, 0xAAAAAAAAAAAAAAAA, 0x5555555555555555, MASK64, 0,
@@ -130,21 +122,35 @@ def test_lane_words_fill_the_cap_and_give_stream_states():
     states = [mix64(c) for c in range(8)]
     count = LANE_CAP // len(states)
     assert _lane_words(states, 0, count) == [mix64(s ^ i) for s in states for i in range(count)]
-    stream = DrawStream(99)
-    assert _lane_words([stream.seed_state], 40, 3) == [mix64(99, c) for c in (40, 41, 42)]
+    assert _lane_words([mix64(99)], 40, 3) == [mix64(99, c) for c in (40, 41, 42)]
     assert _lane_words([], 0, 5) == _lane_words(states, 0, 0) == []
 
 
 def reference_generate(params):
-    """generate as the stream draws it: constraint by constraint, word by word."""
+    """generate from its definition: word i of constraint c's stream is
+    mix64(seed, c, i), and a draw below bound is the top bits of as many whole
+    words as bound needs, rejected when it is not below bound or repeats."""
     sizes = derive_sizes(params)
     k, d = params.k, sizes.d
-    stream = DrawStream(params.seed)
+
+    def draw_distinct(words, bound, count):
+        bits = (bound - 1).bit_length()
+        width = -(-bits // 64)
+        seen = set()
+        while len(seen) < count:
+            u = 0
+            for _ in range(width):
+                u = (u << 64) | next(words)
+            u >>= width * 64 - bits
+            if u < bound:
+                seen.add(u)
+        return seen
+
     constraints = []
-    for ci in range(sizes.m):
-        stream.select(ci)
-        scope = tuple(sorted(_draw_distinct(stream, params.n, k)))
-        drawn = _draw_distinct(stream, d ** k, sizes.t_nogoods)
+    for c in range(sizes.m):
+        words = (mix64(params.seed, c, i) for i in itertools.count())
+        scope = tuple(sorted(draw_distinct(words, params.n, k)))
+        drawn = draw_distinct(words, d ** k, sizes.t_nogoods)
         constraints.append(Constraint(scope, frozenset(
             tuple(index // d ** (k - 1 - i) % d for i in range(k)) for index in drawn)))
     return Instance(params.n, d, tuple(constraints), provenance=(params, sizes))
@@ -166,7 +172,8 @@ def test_generate_matches_the_word_by_word_reference(k, extra, alpha, r, t, seed
     RbParams(5, 6, 1.2, 0.5, 0.002, seed=7),       # d=9 m=5 t=118
     RbParams(12, 12, 1.9, 0.5, 1e-30, seed=1),     # d^k > 2^64: nogoods word by word
     RbParams(2, 2 ** 65, 0.01, 1e-25, 0.5, seed=5),  # n > 2^64: scope word by word
-], ids=["n7", "export-n15", "k5", "wide-nogoods", "wide-scope"])
+    RbParams(65, 2 ** 65, 0.01, 1e-25, 1e-19, seed=9),  # n, d^k > 2^64: no lane words
+], ids=["n7", "export-n15", "k5", "wide-nogoods", "wide-scope", "wide-both"])
 @pytest.mark.parametrize("lane_cap,expected", [
     (LANE_CAP, None),  # as generate sizes them
     (LANE_CAP, 0.5),   # a batch of one word: every constraint is topped up
