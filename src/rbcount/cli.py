@@ -9,13 +9,14 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import math
 import sys
 from typing import TextIO
 
 from . import __version__
 from .cnf_encode import DimacsError, encode_direct, write_dimacs
-from .exact_count import CapExceeded, DEFAULT_BRUTE_CAP, decide_from_count
+from .exact_count import CapExceeded, check_decision_divisor, decide_from_count
 from .experiments import (COMPARISON_HEADER, SweepConfig, accuracy_header,
                           accuracy_table, count_instance, critical_value,
                           crossing_point, emit_csv, emit_svg_plot,
@@ -81,8 +82,6 @@ def _decimal(count: int) -> str:
 def _count_args(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--method", choices=("backtrack", "brute"),
                      default="backtrack", help="counting algorithm")
-    sub.add_argument("--cap", type=int, default=DEFAULT_BRUTE_CAP,
-                     help="assignment-space cap for --method brute")
 
 
 # ---------------------------------------------------------------------------
@@ -100,7 +99,7 @@ def cmd_gen(args) -> int:
 def cmd_count(args) -> int:
     with _open(args.instance, "r") as fp:
         instance = read_instance(fp)
-    result = count_instance(instance, args.method, args.cap)
+    result = count_instance(instance, args.method)
     print(_decimal(result.count))
     print(f"nodes {result.nodes_visited}")
     print(f"method {result.method}")
@@ -109,9 +108,10 @@ def cmd_count(args) -> int:
 
 
 def cmd_decide(args) -> int:
+    check_decision_divisor(args.divisor)
     with _open(args.instance, "r") as fp:
         instance = read_instance(fp)
-    result = count_instance(instance, args.method, args.cap)
+    result = count_instance(instance, args.method)
     answer = decide_from_count(result.count, instance.d, instance.n, args.divisor)
     print("YES" if answer else "NO")
     print(f"count {_decimal(result.count)}")
@@ -169,15 +169,12 @@ def cmd_sweep(args) -> int:
     config = SweepConfig(
         _params(args, **{args.vary: args.start}), args.stop, args.step,
         vary=args.vary, divisor=args.divisor, instances_per_point=args.instances,
-        method=args.method, brute_cap=args.cap, jobs=args.jobs)
+        method=args.method, jobs=args.jobs)
 
     def progress(row):
         print(f"{config.vary}={row.p:.4f} p_eff={row.p_eff:.4f} "
               f"yes={row.yes_fraction:.2f} wall_ms={row.wall_ms:.0f}",
               file=sys.stderr)
-        if row.cap_exceeded:
-            print(f"rbcount: warning: {row.cap_exceeded} instances exceeded --cap "
-                  "and count as NO", file=sys.stderr)
 
     rows = sweep_tightness(config, progress=progress)
     with _open(args.output, "w") as fp:
@@ -209,7 +206,7 @@ def _parse_deltas(text: str) -> list[float]:
 def cmd_accuracy(args) -> int:
     deltas = _parse_deltas(args.deltas)
     row = accuracy_table(_params(args), deltas, instances=args.instances,
-                         method=args.method, brute_cap=args.cap, jobs=args.jobs)
+                         method=args.method, jobs=args.jobs)
     with _open(args.output, "w") as fp:
         emit_csv(accuracy_header(deltas), [row], fp)
     return 0
@@ -217,7 +214,7 @@ def cmd_accuracy(args) -> int:
 
 def cmd_compare(args) -> int:
     row = estimator_comparison(_params(args), instances=args.instances,
-                               method=args.method, brute_cap=args.cap, jobs=args.jobs)
+                               method=args.method, jobs=args.jobs)
     with _open(args.output, "w") as fp:
         emit_csv(COMPARISON_HEADER, [row], fp)
     return 0
@@ -228,7 +225,10 @@ def cmd_compare(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The rbcount parser, built once per process: parse_args keeps no state
+    in it between calls."""
     parser = _Parser(prog="rbcount",
                      description="Generate, count, decide, estimate, encode and "
                                  "sweep random CSP instances with sharp count "

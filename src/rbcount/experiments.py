@@ -6,6 +6,8 @@ generates and counts each point's seeded batch (in one process pool per run
 for ``jobs`` > 1) and ``emit_csv`` writes the dataclass rows.  Instance seeds
 mix the point's seed with the (point, index) pair as the generator mixes its
 draws, so results are reproducible and independent of worker count.
+Counting by "brute" is capped at DEFAULT_BRUTE_CAP assignments: a sweep or
+table beyond it raises CapExceeded before it generates any instance.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence, TextIO
 
-from .exact_count import (DEFAULT_BRUTE_CAP, CapExceeded, CountResult, check_brute_cap,
+from .exact_count import (DEFAULT_BRUTE_CAP, CountResult, check_brute_cap,
                           check_decision_divisor, count_backtrack, count_brute,
                           decide_from_count)
 from .rb_model import (Instance, RbParams, derive_sizes, effective_tightness, generate,
@@ -30,8 +32,7 @@ from .theory import critical_density, critical_tightness, expected_count
 # A grid builds every point's RbParams up front, so its size is bounded.
 MAX_GRID_POINTS = 10 ** 5
 
-CSV_HEADER = ("p,p_eff,yes_fraction,mean_count_log,median_count_log,mean_nodes,"
-              "wall_ms,cap_exceeded")
+CSV_HEADER = "p,p_eff,yes_fraction,mean_count_log,median_count_log,mean_nodes,wall_ms"
 
 
 @dataclass(frozen=True)
@@ -50,7 +51,6 @@ class SweepConfig:
     divisor: int = 2
     instances_per_point: int = 100
     method: str = "backtrack"
-    brute_cap: int = DEFAULT_BRUTE_CAP
     jobs: int = 1
 
     def __post_init__(self):
@@ -75,8 +75,8 @@ class SweepRow:
 
     Count statistics are natural logs (-inf when the statistic is zero);
     wall_ms is measurement noise and excluded from reproducibility claims.
-    cap_exceeded counts instances the brute-force cap skipped; skipped
-    instances count as NO in yes_fraction.
+    Every row covers all of the point's instances: a point that cannot be
+    counted fails the sweep instead.
     """
 
     p: float
@@ -86,7 +86,6 @@ class SweepRow:
     median_count_log: float
     mean_nodes: float
     wall_ms: float
-    cap_exceeded: int = 0
 
 
 def sweep_header(vary: str) -> list[str]:
@@ -135,24 +134,25 @@ def critical_value(config: SweepConfig) -> float:
     return critical_density(base.alpha, effective_tightness(base), config.divisor)
 
 
-def count_instance(instance: Instance, method: str, cap: int) -> CountResult:
-    """Count solutions by "backtrack", or by "brute" over at most cap assignments."""
+def count_instance(instance: Instance, method: str) -> CountResult:
+    """Count solutions by "backtrack", or by "brute" over at most
+    DEFAULT_BRUTE_CAP assignments."""
     if method == "backtrack":
         return count_backtrack(instance)
     if method == "brute":
-        return count_brute(instance, cap=cap)
+        return count_brute(instance)
     raise ValueError(f"unknown counting method {method!r}")
 
 
-def check_method_cap(method: str, d: int, n: int, cap: int) -> None:
+def check_method_cap(method: str, d: int, n: int) -> None:
     """Raise CapExceeded when count_instance by method would refuse every
     instance with d values and n variables: only "brute" counting is capped."""
     if method == "brute":
-        check_brute_cap(d, n, cap)
+        check_brute_cap(d, n, DEFAULT_BRUTE_CAP)
 
 
-def _generate_and_count(params: RbParams, method: str, cap: int) -> CountResult:
-    return count_instance(generate(params), method, cap)
+def _generate_and_count(params: RbParams, method: str) -> CountResult:
+    return count_instance(generate(params), method)
 
 
 def _pool(jobs: int) -> contextlib.AbstractContextManager:
@@ -161,16 +161,16 @@ def _pool(jobs: int) -> contextlib.AbstractContextManager:
             else contextlib.nullcontext())
 
 
-def _count_point(point: RbParams, index: int, instances: int, method: str, cap: int,
+def _count_point(point: RbParams, index: int, instances: int, method: str,
                  pool: concurrent.futures.Executor | None) -> list[CountResult]:
     """Generate and count the point's instances at grid or table index
     ``index``, seeded from point.seed, in order, in this process or on
     ``pool``.  Every instance of a point shares d and n, so a point beyond
     the brute-force cap raises CapExceeded before any is generated."""
-    check_method_cap(method, derive_sizes(point).d, point.n, cap)
+    check_method_cap(method, derive_sizes(point).d, point.n)
     batch = [dataclasses.replace(point, seed=instance_seed(point.seed, index, ii))
              for ii in range(instances)]
-    task = functools.partial(_generate_and_count, method=method, cap=cap)
+    task = functools.partial(_generate_and_count, method=method)
     return list(map(task, batch) if pool is None else pool.map(task, batch, chunksize=4))
 
 
@@ -197,17 +197,14 @@ def sweep_tightness(config: SweepConfig,
     """Run the grid, counting config.instances_per_point instances per point.
 
     Rows come back in grid order regardless of config.jobs; identical configs
-    give identical rows (wall_ms aside).
+    give identical rows (wall_ms aside).  A sweep beyond the brute-force cap
+    raises CapExceeded at its first point: d and n are fixed along either axis.
     """
     rows = []
     with _pool(config.jobs) as pool:
         for gi, point in enumerate(config.points):
             started = time.perf_counter()
-            try:
-                done = _count_point(point, gi, config.instances_per_point, config.method,
-                                    config.brute_cap, pool)
-            except CapExceeded:
-                done = []
+            done = _count_point(point, gi, config.instances_per_point, config.method, pool)
             wall_ms = (time.perf_counter() - started) * 1000.0
             counts = [res.count for res in done]
             d = derive_sizes(point).d
@@ -218,10 +215,9 @@ def sweep_tightness(config: SweepConfig,
                 p_eff=effective_tightness(point),
                 yes_fraction=yes / config.instances_per_point,
                 mean_count_log=_log_mean(counts),
-                median_count_log=_log_median(counts) if counts else -math.inf,
-                mean_nodes=sum(res.nodes_visited for res in done) / len(done) if done else 0.0,
+                median_count_log=_log_median(counts),
+                mean_nodes=sum(res.nodes_visited for res in done) / len(done),
                 wall_ms=wall_ms,
-                cap_exceeded=config.instances_per_point - len(done),
             )
             rows.append(row)
             if progress is not None:
@@ -253,15 +249,14 @@ def accuracy_header(deltas: Sequence[float]) -> tuple[str, ...]:
     return TABLE_HEADER + tuple(f"coverage_delta_{_fmt(d)}" for d in deltas)
 
 
-def _table_point(point: RbParams, instances: int, method: str, brute_cap: int,
-                 jobs: int) -> tuple:
+def _table_point(point: RbParams, instances: int, method: str, jobs: int) -> tuple:
     """The row's leading cells (k, n, alpha, r, p, p_eff, instances), the
     closed-form ExpectedCount at p_eff and the exact counts of the point's
     instances; a point beyond the brute-force cap raises CapExceeded."""
     _check_instances(instances)
     _check_jobs(jobs)
     with _pool(jobs) as pool:
-        results = _count_point(point, 0, instances, method, brute_cap, pool)
+        results = _count_point(point, 0, instances, method, pool)
     sizes = derive_sizes(point)
     p_eff = effective_tightness(point)
     lead = (point.k, point.n, point.alpha, point.r, point.p, p_eff, instances)
@@ -285,15 +280,14 @@ class AccuracyRow(_TableRow):
 
 
 def accuracy_table(point: RbParams, deltas: Sequence[float], *, instances: int = 300,
-                   method: str = "backtrack", brute_cap: int = DEFAULT_BRUTE_CAP,
-                   jobs: int = 1) -> AccuracyRow:
+                   method: str = "backtrack", jobs: int = 1) -> AccuracyRow:
     """Fraction of the point's instances whose exact count X lands strictly
     inside ((1-delta)*E, (1+delta)*E), for each delta; E is the mean count at
     the point's effective tightness.  point.seed seeds the instances."""
     for delta in deltas:
         if not 0.0 < delta <= 1.0:
             raise ValueError(f"delta must lie in (0, 1], got {delta}")
-    lead, mean, counts = _table_point(point, instances, method, brute_cap, jobs)
+    lead, mean, counts = _table_point(point, instances, method, jobs)
     return AccuracyRow(*lead, coverage=tuple(
         sum(1 for x in counts
             if (1.0 - delta) * mean.expected < x < (1.0 + delta) * mean.expected)
@@ -310,11 +304,10 @@ class ComparisonRow(_TableRow):
 
 
 def estimator_comparison(point: RbParams, *, instances: int = 300,
-                         method: str = "backtrack", brute_cap: int = DEFAULT_BRUTE_CAP,
-                         jobs: int = 1) -> ComparisonRow:
+                         method: str = "backtrack", jobs: int = 1) -> ComparisonRow:
     """Sample mean of the point's exact counts next to the closed-form mean;
     point.seed seeds the instances."""
-    lead, mean, counts = _table_point(point, instances, method, brute_cap, jobs)
+    lead, mean, counts = _table_point(point, instances, method, jobs)
     return ComparisonRow(*lead, mean_count=sum(counts) / len(counts),
                          mean_count_log=_log_mean(counts),
                          expected=mean.expected, log_expected=mean.log_expected)

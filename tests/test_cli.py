@@ -155,20 +155,6 @@ def test_sweep_over_density_labels_its_axis(tmp_path, capsys):
     assert 'stroke="red"' in svg_path.read_text()
 
 
-def test_sweep_reports_cap_exceeded(tmp_path, capsys):
-    csv_path = tmp_path / "s.csv"
-    code, _, err = run(["sweep", "-k", "2", "-n", "5", "-a", "0.8", "-r", "1.5",
-                        "--start", "0.1", "--stop", "0.3", "--step", "0.2",
-                        "--instances", "4", "--method", "brute", "--cap", "10",
-                        "-o", str(csv_path)], capsys)
-    assert code == 0
-    lines = csv_path.read_text().splitlines()
-    assert lines[0].endswith(",cap_exceeded")
-    assert [line.split(",")[-1] for line in lines[1:]] == ["4", "4"]
-    warning = "rbcount: warning: 4 instances exceeded --cap and count as NO"
-    assert err.splitlines().count(warning) == 2
-
-
 def test_sweep_over_density_needs_p(capsys):
     code, _, err = run(["sweep", "-k", "2", "-n", "5", "-a", "0.8", "-r", "1.0",
                         "--vary", "r", "--start", "0.5", "--stop", "1.0",
@@ -253,13 +239,20 @@ def test_brute_cap_error_names_the_space_not_its_digits(huge_count_file, capsys)
     assert len(line) < 200
 
 
-@pytest.mark.parametrize("command", ["accuracy", "compare"])
-def test_tables_report_the_brute_cap_message(command, capsys):
-    code, out, err = run([command, "-k", "2", "-n", "7", "-a", "0.8", "-r", "1.5",
-                          "-p", "0.3", "--instances", "3", "--method", "brute",
-                          "--cap", "10"], capsys)
+@pytest.mark.parametrize("command", [
+    ["sweep", "--start", "0.2", "--stop", "0.24", "--step", "0.02"],
+    ["accuracy", "-p", "0.2"],
+    ["compare", "-p", "0.2"],
+], ids=["sweep", "accuracy", "compare"])
+def test_tables_report_the_brute_cap_message(command, tmp_path, capsys):
+    # d = 8 at n = 13, alpha = 0.8, and 8^13 > 10^8
+    csv_path = tmp_path / "t.csv"
+    code, out, err = run(command + ["-k", "2", "-n", "13", "-a", "0.8", "-r", "1.7",
+                                    "--instances", "3", "--method", "brute",
+                                    "-o", str(csv_path)], capsys)
     assert code == 2 and out == ""
-    assert err.splitlines() == ["rbcount: error: 5^7 assignments exceeds cap 10"]
+    assert err.splitlines() == ["rbcount: error: 8^13 assignments exceeds cap 100000000"]
+    assert not csv_path.exists()
 
 
 @pytest.mark.parametrize("seed", ["-1", str(2 ** 64)])
@@ -379,6 +372,7 @@ def test_usage_errors_exit_1(capsys):
     assert run([], capsys)[0] == 1                 # no subcommand at all
     assert run(["gen", "-k", "2"], capsys)[0] == 1  # missing required flags
     assert run(["count", TINY, "--method", "magic"], capsys)[0] == 1
+    assert run(SWEEP_SMALL + ["--cap", "10"], capsys)[0] == 1  # no such option
 
 
 def test_runtime_errors_exit_2(tmp_path, capsys):
@@ -393,9 +387,6 @@ def test_runtime_errors_exit_2(tmp_path, capsys):
     code, _, err = run(["gen", "-k", "2", "-n", "1", "-a", "0.8", "-r", "1.5",
                         "-p", "0.3"], capsys)  # n < k is a parameter error
     assert code == 2
-
-    code, _, err = run(["count", TINY, "--method", "brute", "--cap", "1"], capsys)
-    assert code == 2 and "cap" in err
 
 
 def test_help_and_version_exit_0(capsys):
@@ -415,7 +406,20 @@ def test_a_huge_divisor_answers_at_once(tmp_path, capsys):
     assert len(csv_path.read_text().splitlines()) == 4
 
 
-def test_decide_rejects_bad_divisor(capsys):
+def test_decide_rejects_bad_divisor(capsys, monkeypatch):
+    def counter(instance):
+        pytest.fail("decide counted before it checked --divisor")
+
+    monkeypatch.setattr(experiments, "count_backtrack", counter)
     code, _, err = run(["decide", TINY, "--divisor", "1"], capsys)
     assert code == 2
-    assert "divisor" in err
+    assert err.splitlines() == ["rbcount: error: divisor must be an integer >= 2, got 1"]
+
+
+def test_one_call_leaves_nothing_in_the_next(capsys):
+    code, out, _ = run(["decide", TINY, "--divisor", "3"], capsys)
+    assert code == 0 and "threshold d^(n/3) " in out
+    code, out, _ = run(["decide", TINY], capsys)
+    assert code == 0 and "threshold d^(n/2) " in out
+    assert run(["decide", TINY, "--divisor", "two"], capsys)[0] == 1
+    assert run(["decide", TINY], capsys)[0] == 0

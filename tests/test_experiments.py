@@ -102,7 +102,6 @@ def test_sweep_rows_match_by_hand_recount():
     assert row.median_count_log == pytest.approx(
         math.log((ordered[9] + ordered[10]) / 2.0), rel=1e-12)
     assert row.mean_nodes == sum(nodes) / len(nodes)
-    assert row.cap_exceeded == 0
 
 
 def test_sweep_is_deterministic_apart_from_timing():
@@ -135,17 +134,6 @@ def test_sweep_over_density_axis():
     assert len({row.p_eff for row in rows}) == 1       # tightness held fixed
 
 
-def test_sweep_records_cap_exceedances_without_failing():
-    config = dataclasses.replace(TINY, method="brute", brute_cap=100,
-                                 instances_per_point=6, grid_stop=0.2)
-    rows = sweep_tightness(config)
-    for row in rows:
-        assert row.cap_exceeded == 6
-        assert row.yes_fraction == 0.0
-        assert row.mean_count_log == -math.inf
-        assert row.mean_nodes == 0.0
-
-
 @pytest.fixture
 def generated(monkeypatch):
     """The parameter sets experiments generates instances from, in order."""
@@ -160,31 +148,32 @@ def generated(monkeypatch):
 
 
 def test_a_point_beyond_the_brute_cap_generates_nothing(generated):
-    point = RbParams(k=2, n=13, alpha=0.8, r=1.7, p=0.2)  # d=8
+    point = RbParams(k=2, n=13, alpha=0.8, r=1.7, p=0.2)  # d=8, and 8^13 > 10^8
     config = SweepConfig(point, grid_stop=0.24, grid_step=0.02, instances_per_point=30,
-                         method="brute", brute_cap=10)
-    assert [row.cap_exceeded for row in sweep_tightness(config)] == [30] * 3
-    brute = dict(instances=300, method="brute", brute_cap=10)
-    with pytest.raises(CapExceeded, match=r"^8\^13 assignments exceeds cap 10$"):
+                         method="brute")
+    message = r"^8\^13 assignments exceeds cap 100000000$"
+    with pytest.raises(CapExceeded, match=message):
+        sweep_tightness(config)
+    brute = dict(instances=300, method="brute")
+    with pytest.raises(CapExceeded, match=message):
         accuracy_table(point, [0.5], **brute)
-    with pytest.raises(CapExceeded, match=r"^8\^13 assignments exceeds cap 10$"):
+    with pytest.raises(CapExceeded, match=message):
         estimator_comparison(point, **brute)
     assert generated == []
 
 
 def test_a_point_within_the_brute_cap_generates_each_instance_once(generated):
-    config = dataclasses.replace(TINY, method="brute", brute_cap=5 ** 5,
-                                 instances_per_point=4, grid_stop=0.2)
-    rows = sweep_tightness(config)
-    assert [row.cap_exceeded for row in rows] == [0, 0]
+    config = dataclasses.replace(TINY, method="brute", instances_per_point=4,
+                                 grid_stop=0.2)
+    assert len(sweep_tightness(config)) == 2
     assert len(generated) == 8 and len(set(generated)) == 8
 
 
 def test_only_brute_counting_is_capped():
-    check_method_cap("backtrack", 8, 13, 10)
-    check_method_cap("brute", 8, 3, 8 ** 3)
-    with pytest.raises(CapExceeded, match=r"^8\^4 assignments exceeds cap 4095$"):
-        check_method_cap("brute", 8, 4, 8 ** 4 - 1)
+    check_method_cap("backtrack", 8, 13)
+    check_method_cap("brute", 10, 8)
+    with pytest.raises(CapExceeded, match=r"^10\^9 assignments exceeds cap 100000000$"):
+        check_method_cap("brute", 10, 9)
 
 
 def test_sweep_rejects_unknown_method_and_axis():
@@ -269,12 +258,6 @@ def test_accuracy_table_rejects_bad_delta():
         accuracy_table(point, [1.5])
 
 
-def test_accuracy_table_propagates_cap():
-    with pytest.raises(CapExceeded):
-        accuracy_table(RbParams(2, 5, 0.8, 1.5, 0.2), [0.5], instances=3,
-                       method="brute", brute_cap=10)
-
-
 @pytest.mark.parametrize("table", [
     lambda **kw: accuracy_table(RbParams(2, 5, 0.8, 1.5, 0.2), [0.5], **kw),
     lambda **kw: estimator_comparison(RbParams(2, 5, 0.8, 1.5, 0.2), **kw),
@@ -331,7 +314,7 @@ def test_csv_header_and_round_trip():
     lines = out.getvalue().splitlines()
     assert lines[0] == CSV_HEADER
     assert CSV_HEADER == ("p,p_eff,yes_fraction,mean_count_log,"
-                          "median_count_log,mean_nodes,wall_ms,cap_exceeded")
+                          "median_count_log,mean_nodes,wall_ms")
     parsed = list(csv.DictReader(io.StringIO(out.getvalue())))
     assert len(parsed) == len(rows)
     for rec, row in zip(parsed, rows):
@@ -342,7 +325,6 @@ def test_csv_header_and_round_trip():
         assert float(rec["median_count_log"]) == row.median_count_log
         assert float(rec["mean_nodes"]) == row.mean_nodes
         assert float(rec["wall_ms"]) == row.wall_ms
-        assert rec["cap_exceeded"] == str(row.cap_exceeded)  # an int column
 
 
 def test_accuracy_csv_shape():

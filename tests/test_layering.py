@@ -1,4 +1,5 @@
-"""The package's import layers: rb_model <- exact_count <- theory.
+"""The package's import layers: rb_model <- exact_count <- theory, with
+cnf_encode on exact_count, experiments on theory and cli on top.
 
 Each module's relative imports are read with ast, so a module that reaches up
 a layer, or into a sibling's private names, fails here rather than in an
@@ -17,11 +18,13 @@ import rbcount
 PACKAGE = pathlib.Path(rbcount.__file__).parent
 MODULES = sorted(path.stem for path in PACKAGE.glob("*.py") if path.stem != "__init__")
 
-# The siblings each lower-layer module may import from.
+# The siblings each module below cli may import from.
 LAYERS = {
     "rb_model": set(),
     "exact_count": {"rb_model"},
     "theory": {"rb_model", "exact_count"},
+    "cnf_encode": {"rb_model", "exact_count"},
+    "experiments": {"rb_model", "exact_count", "theory"},
 }
 
 
