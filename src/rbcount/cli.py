@@ -10,20 +10,18 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
-import math
 import sys
-from typing import TextIO
 
 from . import __version__
-from .cnf_encode import DimacsError, encode_direct, write_dimacs
+from .cnf_encode import encode_direct, write_dimacs
 from .exact_count import CapExceeded, check_decision_divisor, decide_from_count
-from .experiments import (COMPARISON_HEADER, SweepConfig, accuracy_header,
+from .experiments import (COMPARISON_HEADER, METHODS, SweepConfig, accuracy_header,
                           accuracy_table, count_instance, critical_value,
                           crossing_point, emit_csv, emit_svg_plot,
                           estimator_comparison, sweep_header, sweep_manifest,
                           sweep_tightness, write_manifest)
-from .rb_model import (InstanceFormatError, RbParams, derive_sizes, effective_tightness,
-                       generate, read_instance, write_instance)
+from .rb_model import (RbParams, derive_sizes, effective_tightness, generate, read_instance,
+                       write_instance)
 from .theory import (DEFAULT_CRITICAL_BAND, ae_count, critical_density, critical_tightness,
                      theorem_applicability)
 
@@ -80,7 +78,7 @@ def _decimal(count: int) -> str:
 
 
 def _count_args(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--method", choices=("backtrack", "brute"),
+    sub.add_argument("--method", choices=METHODS,
                      default="backtrack", help="counting algorithm")
 
 
@@ -325,8 +323,8 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(exc, file=sys.stderr)
         return 1
-    except (InstanceFormatError, DimacsError, CapExceeded, ValueError,
-            OSError, RecursionError, OverflowError, MemoryError) as exc:
+    except (CapExceeded, ValueError, OSError, RecursionError, OverflowError,
+            MemoryError) as exc:
         print(f"rbcount: error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
 

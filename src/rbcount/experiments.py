@@ -134,6 +134,9 @@ def critical_value(config: SweepConfig) -> float:
     return critical_density(base.alpha, effective_tightness(base), config.divisor)
 
 
+METHODS = ("backtrack", "brute")  # the methods count_instance accepts
+
+
 def count_instance(instance: Instance, method: str) -> CountResult:
     """Count solutions by "backtrack", or by "brute" over at most
     DEFAULT_BRUTE_CAP assignments."""

@@ -13,11 +13,11 @@ byte-identical instances.
 
 from __future__ import annotations
 
+import itertools
 import math
 import sys
 from dataclasses import dataclass
-from itertools import islice
-from typing import Callable, Iterable, Sequence, TextIO
+from typing import Callable, Iterable, Iterator, Sequence, TextIO
 
 MASK64 = (1 << 64) - 1
 
@@ -42,6 +42,14 @@ _MIX2 = 0x94D049BB133111EB
 _LITTLE_ENDIAN = sys.byteorder == "little"
 
 
+def _round(x: int) -> int:
+    """SplitMix64's round: the output word of input x."""
+    h = (x + _GOLDEN) & MASK64
+    h = ((h ^ (h >> 30)) * _MIX1) & MASK64
+    h = ((h ^ (h >> 27)) * _MIX2) & MASK64
+    return h ^ (h >> 31)
+
+
 def mix64(*words: int) -> int:
     """Avalanche a sequence of integers into one 64-bit word.
 
@@ -50,11 +58,7 @@ def mix64(*words: int) -> int:
     """
     h = 0
     for w in words:
-        h ^= w & MASK64
-        h = (h + _GOLDEN) & MASK64
-        h = ((h ^ (h >> 30)) * _MIX1) & MASK64
-        h = ((h ^ (h >> 27)) * _MIX2) & MASK64
-        h ^= h >> 31
+        h = _round(h ^ (w & MASK64))
     return h
 
 
@@ -63,19 +67,19 @@ _LOW_LANE = b"\xff" * 8 + bytes(8)
 _GOLDEN_LANE = _GOLDEN.to_bytes(16, "little")
 
 
-def _lane_words(states: Sequence[int], first: int, count: int, bits: int = 64) -> list[int]:
-    """The top bits of words first .. first+count-1 of each stream state s,
-    mix64(s ^ i) >> (64 - bits), stream by stream, in one lane-parallel pass
-    over len(states) * count lanes.
+def _lane_words(states: Sequence[int], first: int, count: int) -> list[int]:
+    """Words first .. first+count-1 of each stream state s, _round(s ^ i),
+    stream by stream, in one lane-parallel pass over len(states) * count lanes.
 
     Bits 128j .. 128j+63 of one int hold the j-th input s ^ i, and each step
-    of mix64's round is one int operation over all lanes, at C speed.  A lane
-    is 128 bits because a value below 2^64 times a 64-bit constant stays below
+    of the round is one int operation over all lanes, at C speed.  A lane is
+    128 bits because a value below 2^64 times a 64-bit constant stays below
     2^128, so a multiply never carries into the next lane.  A right shift drags
     the next lane's low bits into this lane's high half, so each lane is masked
     back to 64 bits before a multiply or a shift could carry them into its low
-    half.  Callers keep a pass within LANE_CAP lanes, so its ints stay within
-    32 KiB whatever the instance, and nothing sized to a pass outlives it.
+    half; the last xor's high halves are never read.  Callers keep a pass
+    within LANE_CAP lanes, so its ints stay within 32 KiB whatever the
+    instance, and nothing sized to a pass outlives it.
     """
     lanes = len(states) * count
     ramp = b"".join([i.to_bytes(16, "little") for i in range(first, first + count)])
@@ -85,7 +89,7 @@ def _lane_words(states: Sequence[int], first: int, count: int, bits: int = 64) -
     x = (x + int.from_bytes(_GOLDEN_LANE * lanes, "little")) & low
     x = ((x ^ (x >> 30)) & low) * _MIX1 & low
     x = ((x ^ (x >> 27)) & low) * _MIX2 & low
-    x = ((x ^ (x >> 31)) & low) >> 64 - bits
+    x ^= x >> 31
     # The low 64 bits of each lane: every other native 8-byte word of the
     # little-endian bytes, or, on a big-endian host, of the big-endian bytes
     # read from the end.
@@ -269,44 +273,32 @@ def _expected_draws(bound: int, count: int) -> float:
     return (1 << (bound - 1).bit_length()) * math.log1p(count / (bound - count + 0.5))
 
 
-def _take(state: int, tops: list[int], pos: int, top: int, bound: int,
-          count: int) -> tuple[set[int], int]:
-    """count distinct draws below bound from word pos of stream state's words
-    on, and the position after the last word used.  A draw is the top bits of
-    as many whole words as bound needs, rejected when it is not below bound or
-    repeats an earlier draw: uniform over the count-subsets of [0, bound).
-
-    tops[i] is word i cut to its top `top` bits.  Past tops, the round goes on
-    word by word; a bound above 2^64 joins several words a draw from pos on."""
+def _take(words: Iterator[int], bound: int, count: int) -> set[int]:
+    """count distinct draws below bound, taken from the endless words in
+    order.  A draw is the top bits of as many whole words as bound needs,
+    rejected when it is not below bound or repeats an earlier draw: uniform
+    over the count-subsets of [0, bound).  words is left after the last word
+    used, so the next _take goes on from there."""
     seen: set[int] = set()
     bits = (bound - 1).bit_length()
     if bits <= 64:
-        extra = top - bits
-        for pos, v in enumerate(islice(tops, pos, None), pos + 1):
-            u = v >> extra
+        shift = 64 - bits
+        for w in words:
+            u = w >> shift
             if u < bound:
                 seen.add(u)
                 if len(seen) == count:
-                    return seen, pos
-        while len(seen) < count:  # mix64(state ^ pos) >> 64 - bits, written out
-            h = ((state ^ pos) + _GOLDEN) & MASK64
-            h = ((h ^ (h >> 30)) * _MIX1) & MASK64
-            h = ((h ^ (h >> 27)) * _MIX2) & MASK64
-            u = (h ^ (h >> 31)) >> 64 - bits
-            pos += 1
-            if u < bound:
-                seen.add(u)
-        return seen, pos
-    words = (bits + 63) // 64
+                    break
+        return seen
+    width = (bits + 63) // 64
     while len(seen) < count:
         u = 0
-        for i in range(pos, pos + words):
-            u = u << 64 | mix64(state ^ i)
-        pos += words
-        u >>= words * 64 - bits
+        for _ in range(width):
+            u = u << 64 | next(words)
+        u >>= width * 64 - bits
         if u < bound:
             seen.add(u)
-    return seen, pos
+    return seen
 
 
 def generate(params: RbParams) -> Instance:
@@ -315,39 +307,36 @@ def generate(params: RbParams) -> Instance:
 
     Constraint c draws its scope, then its nogoods, from stream c, whose word i
     is mix64(seed, c, i).  As mix64 absorbs words in order, that is one round,
-    mix64(state ^ i), from the stream's state mix64(seed, c), a plain int that
-    is itself one round, mix64(seed_state ^ c), from seed_state = mix64(seed).
+    _round(state ^ i), from the stream's state mix64(seed, c), a plain int that
+    is itself one round, _round(seed_state ^ c), from seed_state = mix64(seed).
     Scopes may repeat across constraints; equal parameters give equal instances.
 
-    The words come in lane-parallel passes (see _lane_words).  One pass
-    gives a group of constraints their stream states.  The next gives each
-    of them a batch of its first words, about as many as its draws are
-    expected to take, cut to the top bits the wider of its two bounds needs;
-    a group holds at most LANE_CAP words, the cap on one pass.  _take consumes
-    a batch by the stream's rejection rules, and tops up a batch that runs
-    short word by word.  A bound above 2^64 takes several words a draw, and
-    those draws are made word by word.
+    A constraint's words are its lane batch, then the scalar round from word
+    batch on, one iterator that both of its _take calls read.  The batches come
+    in lane-parallel passes (see _lane_words): one pass gives a group of
+    constraints their stream states, the next gives each of them its first
+    batch words, about as many as its draws below bounds of at most 2^64 are
+    expected to take.  A group holds at most LANE_CAP words, the cap on one
+    pass.
     """
     sizes = derive_sizes(params)
     k, n, d, m, t = params.k, params.n, sizes.d, sizes.m, sizes.t_nogoods
     tuples = d ** k
     seed_state = mix64(params.seed)
     decoded = _Memo(lambda index: _decode_tuple(index, d, k))
-    # Draws below a bound of at most 2^64 take one word each and come from the
-    # lanes, cut to the top bits that the wider such bound needs.
-    lane_bounds = [(bound, count) for bound, count in ((n, k), (tuples, t)) if bound <= 1 << 64]
-    expected = sum(_expected_draws(bound, count) for bound, count in lane_bounds)
+    expected = sum(_expected_draws(bound, count)
+                   for bound, count in ((n, k), (tuples, t)) if bound <= 1 << 64)
     batch = min(math.ceil(expected), LANE_CAP)
     group = LANE_CAP // max(batch, 1)
-    top = max([(bound - 1).bit_length() for bound, _ in lane_bounds], default=0)
     constraints = []
     for c0 in range(0, m, group):
         states = _lane_words([seed_state], c0, min(group, m - c0))
-        tops = _lane_words(states, 0, batch, top)
+        lanes = _lane_words(states, 0, batch)
         for j, state in enumerate(states):
-            ws = tops[j * batch:(j + 1) * batch]
-            scope, pos = _take(state, ws, 0, top, n, k)
-            drawn, _ = _take(state, ws, pos, top, tuples, t)
+            words = itertools.chain(lanes[j * batch:(j + 1) * batch],
+                                    map(_round, map(state.__xor__, itertools.count(batch))))
+            scope = _take(words, n, k)
+            drawn = _take(words, tuples, t)
             constraints.append(Constraint(tuple(sorted(scope)),
                                           frozenset(map(decoded.__getitem__, drawn))))
     return Instance(params.n, sizes.d, tuple(constraints), provenance=(params, sizes))

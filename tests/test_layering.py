@@ -1,9 +1,9 @@
 """The package's import layers: rb_model <- exact_count <- theory, with
 cnf_encode on exact_count, experiments on theory and cli on top.
 
-Each module's relative imports are read with ast, so a module that reaches up
-a layer, or into a sibling's private names, fails here rather than in an
-import cycle.
+Each module's imports are read with ast, so a module that reaches up a layer,
+or into a sibling's private names, fails here rather than in an import cycle,
+and an import that nothing uses fails here too.
 """
 
 from __future__ import annotations
@@ -54,3 +54,16 @@ def test_no_private_name_crosses_modules(module):
     private = sorted((sibling, name) for sibling, name in sibling_imports(module)
                      if name is not None and name.startswith("_"))
     assert private == []
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_every_import_is_used(module):
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):  # import a.b binds a
+            imported.update((alias.asname or alias.name).split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(alias.asname or alias.name for alias in node.names)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert sorted(imported - used) == []

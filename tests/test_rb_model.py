@@ -7,6 +7,7 @@ import itertools
 import math
 import random
 import re
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -109,13 +110,11 @@ EDGE_STATES = [0, MASK64, 0xAAAAAAAAAAAAAAAA, 0x5555555555555555, MASK64, 0,
                (1 << 64) - 0x9E3779B97F4A7C15, 1 << 63, 1, MASK64 - 1]
 
 
-@pytest.mark.parametrize("bits", [64, 63, 34, 10, 5, 1])
-def test_lane_words_match_mix64_lane_by_lane(bits):
+def test_lane_words_match_mix64_lane_by_lane():
     # count=1 from word 0: each lane holds one edge state as it is
-    assert (_lane_words(EDGE_STATES, 0, 1, bits)
-            == [mix64(s) >> 64 - bits for s in EDGE_STATES])
-    assert (_lane_words(EDGE_STATES, 5, 7, bits)
-            == [mix64(s ^ i) >> 64 - bits for s in EDGE_STATES for i in range(5, 12)])
+    assert _lane_words(EDGE_STATES, 0, 1) == [mix64(s) for s in EDGE_STATES]
+    assert (_lane_words(EDGE_STATES, 5, 7)
+            == [mix64(s ^ i) for s in EDGE_STATES for i in range(5, 12)])
 
 
 def test_lane_words_fill_the_cap_and_give_stream_states():
@@ -185,9 +184,9 @@ def test_generate_matches_the_reference_for_any_batch_and_cap(
     passes = []
     real_lane_words = rb_model._lane_words
 
-    def recording_lane_words(states, first, count, bits=64):
+    def recording_lane_words(states, first, count):
         passes.append(len(states) * count)
-        return real_lane_words(states, first, count, bits)
+        return real_lane_words(states, first, count)
 
     monkeypatch.setattr(rb_model, "_lane_words", recording_lane_words)
     monkeypatch.setattr(rb_model, "LANE_CAP", lane_cap)
@@ -198,6 +197,26 @@ def test_generate_matches_the_reference_for_any_batch_and_cap(
     several = lane_cap < LANE_CAP or (expected is None and params.n == 15)
     if several and derive_sizes(params).m > 1:
         assert len(passes) > 2  # m x batch is over the cap: several groups
+
+
+@settings(max_examples=100, deadline=None)
+@given(k=st.integers(2, 5), extra=st.integers(0, 8), alpha=st.floats(0.4, 1.3),
+       r=st.floats(0.05, 1.0), t=st.integers(1, 400), seed=st.integers(0, 2 ** 64 - 1),
+       share=st.floats(0.0, 1.0))
+def test_generate_matches_the_reference_wherever_the_batch_ends(
+        k, extra, alpha, r, t, seed, share):
+    # A batch from one word up to the real expected draws, so a constraint's
+    # lane words run out mid-scope, between scope and nogoods or mid-nogoods.
+    n = k + extra
+    d = max(2, round_half_up(n ** alpha))
+    params = RbParams(k, n, alpha, r, min(t, d ** k - 1) / d ** k, seed)
+    sizes = derive_sizes(params)
+    real = (rb_model._expected_draws(n, k)
+            + rb_model._expected_draws(d ** k, sizes.t_nogoods))
+    expected = 0.5 + share * (real - 0.5)
+    # generate sums _expected_draws over its two bounds: the batch is ceil(expected)
+    with mock.patch.object(rb_model, "_expected_draws", lambda bound, count: expected / 2):
+        assert generate(params) == reference_generate(params)
 
 
 def test_generate_is_deterministic():
