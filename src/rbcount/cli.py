@@ -46,7 +46,8 @@ def _open(path: str, mode: str):
 
 
 def _add_params(sub: argparse.ArgumentParser, required: bool = True) -> None:
-    # sweep passes required=False and requires the fixed one of -r/-p itself
+    # sweep passes required=False: it requires the fixed one of -r/-p itself
+    # and refuses the swept one, which --start sets
     sub.add_argument("-k", type=int, required=True, help="constraint arity")
     sub.add_argument("-n", type=int, required=True, help="variable count")
     sub.add_argument("-a", "--alpha", type=float, required=True,
@@ -80,6 +81,17 @@ def _decimal(count: int) -> str:
 def _count_args(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--method", choices=METHODS,
                      default="backtrack", help="counting algorithm")
+
+
+def _batch_args(sub: argparse.ArgumentParser, instances: int) -> None:
+    """The options of a seeded batch of instances per point: sweep and the tables."""
+    sub.add_argument("--instances", type=int, default=instances,
+                     help="instances per point")
+    sub.add_argument("--seed", type=int, default=0, help="64-bit seed of the instances")
+    sub.add_argument("--jobs", type=int, default=1,
+                     help="worker processes; results are identical for any value")
+    _count_args(sub)
+    sub.add_argument("-o", "--output", default="-", help="CSV path, - for stdout")
 
 
 # ---------------------------------------------------------------------------
@@ -124,7 +136,7 @@ def cmd_estimate(args) -> int:
     sizes = derive_sizes(params)
     p_eff = effective_tightness(params)
     est = ae_count(params, args.delta, args.divisor, critical_band=args.band)
-    report = theorem_applicability(params, args.divisor)
+    report = theorem_applicability(params)
     print(f"d {sizes.d}")
     print(f"m {sizes.m}")
     print(f"t_nogoods {sizes.t_nogoods}")
@@ -164,6 +176,9 @@ def cmd_sweep(args) -> int:
     fixed = "r" if args.vary == "p" else "p"
     if getattr(args, fixed) is None:
         raise UsageError(f"rbcount sweep: error: --vary {args.vary} requires -{fixed}")
+    if getattr(args, args.vary) is not None:
+        raise UsageError(f"rbcount sweep: error: -{args.vary} cannot be given with "
+                         f"--vary {args.vary}; the grid starts at --start")
     config = SweepConfig(
         _params(args, **{args.vary: args.start}), args.stop, args.step,
         vary=args.vary, divisor=args.divisor, instances_per_point=args.instances,
@@ -275,13 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--stop", type=float, required=True)
     sub.add_argument("--step", type=float, required=True)
     sub.add_argument("--divisor", type=int, default=2)
-    sub.add_argument("--instances", type=int, default=100,
-                     help="instances per grid point")
-    sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument("--jobs", type=int, default=1,
-                     help="worker processes; results are identical for any value")
-    _count_args(sub)
-    sub.add_argument("-o", "--output", default="-", help="CSV path, - for stdout")
+    _batch_args(sub, instances=100)
     sub.add_argument("--svg", default=None, help="also write an SVG plot here")
     sub.add_argument("--manifest", default=None, help="also write a manifest here")
     sub.set_defaults(func=cmd_sweep)
@@ -290,21 +299,13 @@ def build_parser() -> argparse.ArgumentParser:
     _add_params(sub)
     sub.add_argument("--deltas", default="0.5,0.6,0.7,0.8,0.9",
                      help="comma-separated interval widths")
-    sub.add_argument("--instances", type=int, default=300)
-    sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument("--jobs", type=int, default=1)
-    _count_args(sub)
-    sub.add_argument("-o", "--output", default="-", help="CSV path, - for stdout")
+    _batch_args(sub, instances=300)
     sub.set_defaults(func=cmd_accuracy)
 
     sub = subs.add_parser("compare", help="sample mean count against the "
                                           "closed-form mean")
     _add_params(sub)
-    sub.add_argument("--instances", type=int, default=300)
-    sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument("--jobs", type=int, default=1)
-    _count_args(sub)
-    sub.add_argument("-o", "--output", default="-", help="CSV path, - for stdout")
+    _batch_args(sub, instances=300)
     sub.set_defaults(func=cmd_compare)
     return parser
 

@@ -1,11 +1,12 @@
 """Grid experiments over the random instance family.
 
 Sweeps over p or r, and tables of exact counts against the closed-form mean,
-start from one ``RbParams`` point and share one pipeline: ``_count_point``
-generates and counts each point's seeded batch (in one process pool per run
-for ``jobs`` > 1) and ``emit_csv`` writes the dataclass rows.  Instance seeds
-mix the point's seed with the (point, index) pair as the generator mixes its
-draws, so results are reproducible and independent of worker count.
+start from one ``RbParams`` point and share one loop: ``_count_points`` checks
+the run's instances, method and jobs once, opens one process pool for the run
+when ``jobs`` > 1, and yields each point's counts in order; ``emit_csv`` writes
+the dataclass rows.  Instance seeds mix the point's seed with the (point,
+index) pair as the generator mixes its draws, so results are reproducible and
+independent of worker count.
 Counting by "brute" is capped at DEFAULT_BRUTE_CAP assignments: a sweep or
 table beyond it raises CapExceeded before it generates any instance.
 """
@@ -20,7 +21,7 @@ import math
 import sys
 import time
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence, TextIO
+from typing import Callable, Iterable, Iterator, Sequence, TextIO
 
 from .exact_count import (DEFAULT_BRUTE_CAP, CountResult, check_brute_cap,
                           check_decision_divisor, count_backtrack, count_brute,
@@ -56,8 +57,7 @@ class SweepConfig:
     def __post_init__(self):
         if self.vary not in ("p", "r"):
             raise ValueError(f"vary must be 'p' or 'r', got {self.vary!r}")
-        _check_instances(self.instances_per_point)
-        _check_jobs(self.jobs)
+        _check_batch(self.instances_per_point, self.method, self.jobs)
         check_decision_divisor(self.divisor)
         self.points  # each grid point's RbParams checks its own values
 
@@ -110,16 +110,6 @@ def grid_values(start: float, stop: float, step: float) -> list[float]:
     return [round(start + i * step, 12) for i in range(npts)]
 
 
-def _check_instances(instances: int) -> None:
-    if instances < 1:
-        raise ValueError(f"instances per point must be >= 1, got {instances}")
-
-
-def _check_jobs(jobs: int) -> None:
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
-
-
 def instance_seed(base_seed: int, point_index: int, instance_index: int) -> int:
     """Derived per-instance seed; pure, so any instance can be regenerated alone."""
     return mix64(base_seed, point_index, instance_index)
@@ -158,23 +148,38 @@ def _generate_and_count(params: RbParams, method: str) -> CountResult:
     return count_instance(generate(params), method)
 
 
-def _pool(jobs: int) -> contextlib.AbstractContextManager:
-    """One process pool for a whole sweep or table; for one job, None in its place."""
-    return (concurrent.futures.ProcessPoolExecutor(max_workers=jobs) if jobs > 1
-            else contextlib.nullcontext())
+def _check_batch(instances: int, method: str, jobs: int) -> None:
+    if instances < 1:
+        raise ValueError(f"instances per point must be >= 1, got {instances}")
+    if method not in METHODS:
+        raise ValueError(f"unknown counting method {method!r}")
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
 
 
-def _count_point(point: RbParams, index: int, instances: int, method: str,
-                 pool: concurrent.futures.Executor | None) -> list[CountResult]:
-    """Generate and count the point's instances at grid or table index
-    ``index``, seeded from point.seed, in order, in this process or on
-    ``pool``.  Every instance of a point shares d and n, so a point beyond
-    the brute-force cap raises CapExceeded before any is generated."""
-    check_method_cap(method, derive_sizes(point).d, point.n)
-    batch = [dataclasses.replace(point, seed=instance_seed(point.seed, index, ii))
-             for ii in range(instances)]
+def _count_points(points: Sequence[RbParams], instances: int, method: str,
+                  jobs: int) -> Iterator[tuple[RbParams, list[CountResult], float]]:
+    """For each point in order: the point, its instances' results and the ms
+    they took.
+
+    The instances of the point at index i are seeded instance_seed(point.seed,
+    i, ii) and counted in order, in this process or, for jobs > 1, on one
+    process pool shared by every point.  Every instance of a point shares d
+    and n, so a point beyond the brute-force cap raises CapExceeded before
+    any is generated.
+    """
+    _check_batch(instances, method, jobs)
     task = functools.partial(_generate_and_count, method=method)
-    return list(map(task, batch) if pool is None else pool.map(task, batch, chunksize=4))
+    with (concurrent.futures.ProcessPoolExecutor(max_workers=jobs) if jobs > 1
+          else contextlib.nullcontext()) as pool:
+        for index, point in enumerate(points):
+            started = time.perf_counter()
+            check_method_cap(method, derive_sizes(point).d, point.n)
+            batch = [dataclasses.replace(point, seed=instance_seed(point.seed, index, ii))
+                     for ii in range(instances)]
+            results = list(map(task, batch) if pool is None
+                           else pool.map(task, batch, chunksize=4))
+            yield point, results, (time.perf_counter() - started) * 1000.0
 
 
 def _log_of_int(x: int) -> float:
@@ -204,27 +209,24 @@ def sweep_tightness(config: SweepConfig,
     raises CapExceeded at its first point: d and n are fixed along either axis.
     """
     rows = []
-    with _pool(config.jobs) as pool:
-        for gi, point in enumerate(config.points):
-            started = time.perf_counter()
-            done = _count_point(point, gi, config.instances_per_point, config.method, pool)
-            wall_ms = (time.perf_counter() - started) * 1000.0
-            counts = [res.count for res in done]
-            d = derive_sizes(point).d
-            yes = sum(1 for res in done
-                      if decide_from_count(res.count, d, point.n, config.divisor))
-            row = SweepRow(
-                p=getattr(point, config.vary),
-                p_eff=effective_tightness(point),
-                yes_fraction=yes / config.instances_per_point,
-                mean_count_log=_log_mean(counts),
-                median_count_log=_log_median(counts),
-                mean_nodes=sum(res.nodes_visited for res in done) / len(done),
-                wall_ms=wall_ms,
-            )
-            rows.append(row)
-            if progress is not None:
-                progress(row)
+    for point, done, wall_ms in _count_points(config.points, config.instances_per_point,
+                                              config.method, config.jobs):
+        counts = [res.count for res in done]
+        d = derive_sizes(point).d
+        yes = sum(1 for res in done
+                  if decide_from_count(res.count, d, point.n, config.divisor))
+        row = SweepRow(
+            p=getattr(point, config.vary),
+            p_eff=effective_tightness(point),
+            yes_fraction=yes / config.instances_per_point,
+            mean_count_log=_log_mean(counts),
+            median_count_log=_log_median(counts),
+            mean_nodes=sum(res.nodes_visited for res in done) / len(done),
+            wall_ms=wall_ms,
+        )
+        rows.append(row)
+        if progress is not None:
+            progress(row)
     return rows
 
 
@@ -233,8 +235,6 @@ def crossing_point(rows: Sequence[SweepRow]) -> float | None:
     for prev, cur in zip(rows, rows[1:]):
         if prev.yes_fraction >= 0.5 > cur.yes_fraction:
             rise = cur.yes_fraction - prev.yes_fraction
-            if rise == 0:
-                return prev.p
             return prev.p + (0.5 - prev.yes_fraction) * (cur.p - prev.p) / rise
     return None
 
@@ -256,10 +256,7 @@ def _table_point(point: RbParams, instances: int, method: str, jobs: int) -> tup
     """The row's leading cells (k, n, alpha, r, p, p_eff, instances), the
     closed-form ExpectedCount at p_eff and the exact counts of the point's
     instances; a point beyond the brute-force cap raises CapExceeded."""
-    _check_instances(instances)
-    _check_jobs(jobs)
-    with _pool(jobs) as pool:
-        results = _count_point(point, 0, instances, method, pool)
+    [(_, results, _)] = _count_points([point], instances, method, jobs)
     sizes = derive_sizes(point)
     p_eff = effective_tightness(point)
     lead = (point.k, point.n, point.alpha, point.r, point.p, p_eff, instances)

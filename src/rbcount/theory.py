@@ -89,7 +89,6 @@ class ApplicabilityReport:
     either side condition).
     """
 
-    divisor: float
     alpha_above_inverse_arity: bool   # alpha > 1/k
     domain_growth_ok: bool            # k * exp(-alpha/r) >= 1
     arity_vs_tightness_ok: bool       # k >= 1/(1 - p)
@@ -98,14 +97,12 @@ class ApplicabilityReport:
     interval_estimate_ok: bool
 
 
-def theorem_applicability(params: RbParams, divisor: float = 2) -> ApplicabilityReport:
+def theorem_applicability(params: RbParams) -> ApplicabilityReport:
     """Evaluate the side conditions the asymptotic threshold results need."""
-    _divisor_factor(divisor)  # the formulas' divisor rule
     alpha_ok = params.alpha > 1.0 / params.k
     growth_ok = params.k * math.exp(-params.alpha / params.r) >= 1.0
     arity_ok = params.k >= 1.0 / (1.0 - params.p)
     return ApplicabilityReport(
-        divisor=divisor,
         alpha_above_inverse_arity=alpha_ok,
         domain_growth_ok=growth_ok,
         arity_vs_tightness_ok=arity_ok,

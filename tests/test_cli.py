@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import io
 import pathlib
 import sys
@@ -9,7 +10,7 @@ import sys
 import pytest
 
 from rbcount import experiments
-from rbcount.cli import main
+from rbcount.cli import build_parser, main
 from rbcount.cnf_encode import read_dimacs
 from rbcount.experiments import CSV_HEADER, sweep_header
 from rbcount.rb_model import read_instance
@@ -172,6 +173,18 @@ def test_sweep_needs_only_the_fixed_axis(capsys):
                         "--vary", "p"] + grid, capsys)
     assert code == 1
     assert "requires -r" in err
+    # the swept axis starts at --start, so its own flag is refused, not dropped
+    code, out, err = run(["sweep", "-k", "2", "-n", "5", "-a", "0.8", "-r", "1.5", "-p", "0.4",
+                          "--start", "0.1", "--stop", "0.3", "--step", "0.2",
+                          "--instances", "2"], capsys)
+    assert code == 1 and out == ""
+    assert err.splitlines() == ["rbcount sweep: error: -p cannot be given with "
+                                "--vary p; the grid starts at --start"]
+    code, out, err = run(["sweep", "-k", "2", "-n", "5", "-a", "0.8", "-r", "9", "-p", "0.2",
+                          "--vary", "r"] + grid, capsys)
+    assert code == 1 and out == ""
+    assert err.splitlines() == ["rbcount sweep: error: -r cannot be given with "
+                                "--vary r; the grid starts at --start"]
 
 
 def test_deep_instance_is_a_runtime_error(tmp_path, capsys):
@@ -393,6 +406,32 @@ def test_help_and_version_exit_0(capsys):
     assert run(["--help"], capsys)[0] == 0
     assert run(["--version"], capsys)[0] == 0
     assert run(["sweep", "--help"], capsys)[0] == 0
+
+
+PARAMS = [("-k", None), ("-n", None), ("-a --alpha", None), ("-r", None), ("-p", None)]
+BATCH = [("--seed", 0), ("--jobs", 1), ("--method", "backtrack"), ("-o --output", "-")]
+OPTIONS = {
+    "gen": PARAMS + [("--seed", 0), ("-o --output", "-")],
+    "count": [("instance", None), ("--method", "backtrack")],
+    "decide": [("instance", None), ("--divisor", 2), ("--exit-code", False),
+               ("--method", "backtrack")],
+    "estimate": PARAMS + [("--delta", 0.9), ("--divisor", 2), ("--band", 0.005)],
+    "encode": [("instance", None), ("-o --output", "-")],
+    "sweep": PARAMS + [("--vary", "p"), ("--start", None), ("--stop", None),
+                       ("--step", None), ("--divisor", 2), ("--instances", 100)]
+             + BATCH + [("--svg", None), ("--manifest", None)],
+    "accuracy": PARAMS + [("--deltas", "0.5,0.6,0.7,0.8,0.9"), ("--instances", 300)] + BATCH,
+    "compare": PARAMS + [("--instances", 300)] + BATCH,
+}
+
+
+def test_each_subcommand_declares_its_options():
+    subs = next(action for action in build_parser()._actions
+                if isinstance(action, argparse._SubParsersAction))
+    declared = {name: [(" ".join(action.option_strings) or action.dest, action.default)
+                       for action in sub._actions if action.dest != "help"]
+                for name, sub in subs.choices.items()}
+    assert declared == OPTIONS
 
 
 def test_a_huge_divisor_answers_at_once(tmp_path, capsys):

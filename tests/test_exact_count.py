@@ -15,8 +15,7 @@ from rbcount.exact_count import (CapExceeded, count_backtrack, count_brute,
                                  decide_from_count, int_nth_root, threshold_ceiling)
 from rbcount.experiments import SweepConfig, grid_values, instance_seed
 from rbcount.rb_model import Constraint, Instance, RbParams, generate
-from rbcount.theory import (ae_count, critical_density, critical_tightness,
-                            theorem_applicability)
+from rbcount.theory import ae_count, critical_density, critical_tightness
 
 from test_rb_model import params_for
 
@@ -285,15 +284,13 @@ PARAMS = RbParams(2, 20, 0.8, 1.7, 0.2)
 DIVISOR_TAKERS = {
     "critical_tightness": lambda divisor: critical_tightness(0.8, 1.7, divisor),
     "critical_density": lambda divisor: critical_density(0.8, 0.2, divisor),
-    "theorem_applicability": lambda divisor: theorem_applicability(PARAMS, divisor),
     "ae_count": lambda divisor: ae_count(PARAMS, 0.9, divisor),
     "threshold_ceiling": lambda divisor: threshold_ceiling(5, 7, divisor),
     "decide_from_count": lambda divisor: decide_from_count(280, 5, 7, divisor),
     "SweepConfig": lambda divisor: SweepConfig(RbParams(2, 5, 0.8, 1.5, 0.1), 0.3, 0.2,
                                                divisor=divisor),
 }
-TAKES_INFINITY = ("critical_tightness", "critical_density", "theorem_applicability",
-                  "ae_count")
+TAKES_INFINITY = ("critical_tightness", "critical_density", "ae_count")
 
 
 @pytest.mark.parametrize("divisor", [1, 2.0, math.nan, math.inf])

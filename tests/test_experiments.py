@@ -191,6 +191,7 @@ def test_sweep_rejects_unknown_method_and_axis():
     ({"divisor": 1}, "divisor must be an integer >= 2, got 1"),
     ({"grid_stop": 1.2, "grid_step": 0.3}, r"tightness p must lie in \(0, 1\), got 1.0"),
     ({"vary": "r", "grid_stop": 1e300, "grid_step": 1e-300}, "finite number of steps"),
+    ({"method": "guess"}, "unknown counting method 'guess'"),
 ])
 def test_sweep_config_checks_every_grid_point_up_front(change, message):
     with pytest.raises(ValueError, match=message):
@@ -262,7 +263,11 @@ def test_accuracy_table_rejects_bad_delta():
     lambda **kw: accuracy_table(RbParams(2, 5, 0.8, 1.5, 0.2), [0.5], **kw),
     lambda **kw: estimator_comparison(RbParams(2, 5, 0.8, 1.5, 0.2), **kw),
 ], ids=["accuracy", "comparison"])
-def test_tables_reject_unknown_method(table):
+def test_tables_reject_unknown_method(table, monkeypatch):
+    def generate(params):
+        pytest.fail("the table generated an instance before it checked the method")
+
+    monkeypatch.setattr(experiments, "generate", generate)
     with pytest.raises(ValueError, match="unknown counting method"):
         table(instances=3, method="guess")
 

@@ -56,6 +56,11 @@ def test_no_private_name_crosses_modules(module):
     assert private == []
 
 
+def test_the_package_root_imports_no_module():
+    # every name has one import path: its own module
+    assert sibling_imports("__init__") == set()
+
+
 @pytest.mark.parametrize("module", MODULES)
 def test_every_import_is_used(module):
     tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))

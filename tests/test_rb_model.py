@@ -295,7 +295,7 @@ def test_nogood_tuples_uniform():
 
 
 def test_applicability_published_parameters():
-    report = theorem_applicability(RbParams(2, 20, 0.8, 1.7, 0.2), 2)
+    report = theorem_applicability(RbParams(2, 20, 0.8, 1.7, 0.2))
     assert report.alpha_above_inverse_arity
     assert report.domain_growth_ok          # 2 * exp(-0.8/1.7) = 1.249 >= 1
     assert report.arity_vs_tightness_ok     # 2 >= 1/0.8
@@ -305,20 +305,15 @@ def test_applicability_published_parameters():
 
 
 def test_applicability_violations():
-    report = theorem_applicability(RbParams(2, 20, 0.4, 1.7, 0.2), 2)
+    report = theorem_applicability(RbParams(2, 20, 0.4, 1.7, 0.2))
     assert not report.alpha_above_inverse_arity
     assert not report.tightness_threshold_ok
-    report = theorem_applicability(RbParams(2, 20, 0.8, 1.7, 0.6), 2)
+    report = theorem_applicability(RbParams(2, 20, 0.8, 1.7, 0.6))
     assert not report.arity_vs_tightness_ok  # 2 < 1/(1-0.6) = 2.5
     assert not report.density_threshold_ok
     # very low density: k * exp(-alpha/r) < 1
-    report = theorem_applicability(RbParams(2, 20, 0.8, 0.5, 0.2), 2)
+    report = theorem_applicability(RbParams(2, 20, 0.8, 0.5, 0.2))
     assert not report.domain_growth_ok
-
-
-def test_applicability_rejects_bad_divisor():
-    with pytest.raises(ValueError):
-        theorem_applicability(RbParams(2, 20, 0.8, 1.7, 0.2), 1)
 
 
 # === text format ===
@@ -345,7 +340,9 @@ def test_parse_known_text():
 # a comment
 rbcsp 1
 n 2 d 2 k 2 m 1
+
 c 0 1
+# a comment inside the body
 g 0 0
 """
     inst = read_instance(io.StringIO(text))
