@@ -89,7 +89,8 @@ def _batch_args(sub: argparse.ArgumentParser, instances: int) -> None:
                      help="instances per point")
     sub.add_argument("--seed", type=int, default=0, help="64-bit seed of the instances")
     sub.add_argument("--jobs", type=int, default=1,
-                     help="worker processes; results are identical for any value")
+                     help="worker processes, at most one per 4 instances of a point and "
+                          "one per CPU; results are identical for any value")
     _count_args(sub)
     sub.add_argument("-o", "--output", default="-", help="CSV path, - for stdout")
 

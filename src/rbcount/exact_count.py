@@ -7,9 +7,11 @@ ever touches a decision.
 Two counters are provided.  ``count_brute`` enumerates the full assignment
 space and is the cross-checking oracle.  ``count_backtrack`` is the one to
 use for anything beyond toy sizes: a forward-checking search in a static
-variable order that caches the number of completions of each search state,
-keyed on the domains of the variables still in play (the component-caching
-idea of #SAT solvers such as Cachet and sharpSAT).
+variable order, walked one depth at a time.  Each depth holds its distinct
+search keys - the domains of the variables still in play - with the number
+of ways of reaching each, so states with equal keys are expanded once (the
+component-caching idea of #SAT solvers such as Cachet and sharpSAT, walked
+breadth first as a BDD/ZDD is built).
 """
 
 from __future__ import annotations
@@ -30,7 +32,8 @@ class CapExceeded(RuntimeError):
 class CountResult:
     """A count and what it took: nodes_visited is the assignments enumerated
     (brute) or the value assignments tried plus one for the root
-    (backtrack); memo_states is the number of cached search states."""
+    (backtrack); memo_states is the number of distinct search keys held
+    across the depths (backtrack; 0 for brute)."""
 
     count: int
     nodes_visited: int
@@ -76,7 +79,7 @@ def _static_order(instance: Instance) -> list[int]:
 
 
 def count_backtrack(instance: Instance) -> CountResult:
-    """Count solutions by memoised forward-checking search.
+    """Count solutions by forward-checking search, one depth at a time.
 
     Variables are assigned in a static order (descending constraint degree,
     ties by index).  The search state is one int holding every variable's
@@ -92,11 +95,14 @@ def count_backtrack(instance: Instance) -> CountResult:
     After a prefix of the order is assigned, the number of completions then
     depends only on the live fields (unassigned variables with an unassigned
     neighbour) and, for arity >= 3, on the assigned values of constraints
-    that still have two or more unassigned variables.  Each branching depth
-    caches counts under that key, as #SAT component caching does.
+    that still have two or more unassigned variables.  The search walks the
+    branching depths in order, holding each distinct key of a depth once with
+    the number of ways of reaching it, as #SAT component caching does.  It
+    does not recurse, and it keeps only the current and the next depth.
 
     nodes_visited is the number of value assignments tried plus one for the
-    root; memo_states is the number of cached entries.  Scopes must have
+    root; memo_states is the number of distinct keys held across the depths,
+    the states a memoised depth-first search would cache.  Scopes must have
     arity >= 2.
     """
     n, d = instance.n, instance.d
@@ -154,10 +160,6 @@ def count_backtrack(instance: Instance) -> CountResult:
                 key_mask[j] |= full << depths[i] * d
 
     branching = [j for j in range(n) if last_nb[j] > j]
-    # keep[j][v]: the AND-mask for giving branching depth j (every firing depth
-    # is one) the value v: it narrows field j to one bit and applies cut[j][v].
-    keep = {j: [ones & ~(full << j * d | cut[j][v]) | 1 << (j * d + v) for v in range(d)]
-            for j in branching}
     finals: list[list[int]] = [[] for _ in range(n)]
     ends = [0] * n  # ends[j]: the fields that are in the key up to depth j
     for t in range(n):
@@ -171,44 +173,83 @@ def count_backtrack(instance: Instance) -> CountResult:
     for j in range(n - 1, -1, -1):
         suffix |= ends[j]
         key_mask[j] |= suffix
-    after = dict(zip(branching, branching[1:] + [n]))
-    memos: list[dict[int, int]] = [{} for _ in range(n)]
-    nodes = 1
+    if not branching:
+        return CountResult(count=d ** n, nodes_visited=1, method="backtrack")
 
-    def rec(j: int, state: int) -> int:
-        nonlocal nodes
-        memo = memos[j]
-        key = state & key_mask[j]
-        total = memo.get(key)
-        if total is not None:
-            return total
-        total = 0
-        row, checks, fin, nxt = keep[j], tables[j], finals[j], after[j]
-        field = state >> j * d & full
-        nodes += field.bit_count()
-        while field:
-            bit = field & -field
-            field ^= bit
-            s = state & row[bit.bit_length() - 1]
-            for proj, table in checks:
-                s &= table.get(s & proj, ones)
-            if (s - low) & ~s & high:
-                continue
-            ways = 1
-            for shift in fin:
-                ways *= (s >> shift & full).bit_count()
-            total += ways * rec(nxt, s) if nxt < n else ways
-        memo[key] = total
-        return total
-
+    # layer maps each distinct key reached at a branching depth to the number
+    # of ways of reaching it, with final fields' popcounts multiplied in.  A
+    # key's completions depend on the key alone, so a depth-first search
+    # memoised on the key would cache exactly these keys.
+    layer = {ones & key_mask[branching[0]]: 1}
+    nodes, states, total = 1, 0, 0
+    for j, nxt in zip(branching, branching[1:] + [n]):
+        states += len(layer)
+        shift, fin, checks = j * d, finals[j], tables[j]
+        # A key holds only the fields of key_mask[j]; the rest are zero in it.
+        live_low = low & key_mask[j]
+        live_high = high & key_mask[j]
+        next_mask = key_mask[nxt] if nxt < n else 0
+        # choice[v]: the AND-mask for giving depth j the value v; it narrows
+        # field j to one bit and applies cut[j][v].  Field j steers a later key
+        # only as a source of a wide constraint that fires later, and then
+        # every key_mask up to that depth, nxt's among them, holds it.  If it
+        # steers none and no wide table fires here, the child drops field j,
+        # so values with one cut row leave one child: their mask leaves field
+        # j as it is, and they become one move weighted by their number.
+        if checks or next_mask >> shift & full:
+            choice = [ones & ~(full << shift | c) | 1 << shift + v for v, c in enumerate(cut[j])]
+        else:
+            choice = [ones & ~c for c in cut[j]]
+        moves: dict[int, list[tuple[int, int]]] = {}  # field j -> [(mask, weight)]
+        # The wide tables firing here clear only deeper fields, so they apply
+        # in any order, as one mask keyed on the fields they all read.  Equal
+        # masks share one int, so an entry costs only its key.
+        union = 0
+        for proj, _ in checks:
+            union |= proj
+        wide: dict[int, int] = {}
+        interned: dict[int, int] = {}
+        out: dict[int, int] = {}
+        for key, ways_in in layer.items():
+            field = key >> shift & full
+            nodes += field.bit_count()
+            move = moves.get(field)
+            if move is None:
+                shared: dict[int, int] = {}
+                rest = field
+                while rest:
+                    bit = rest & -rest
+                    rest ^= bit
+                    mask = choice[bit.bit_length() - 1]
+                    shared[mask] = shared.get(mask, 0) + 1
+                move = moves[field] = list(shared.items())
+            for mask, w in move:
+                s = key & mask
+                if checks:
+                    u = s & union
+                    m = wide.get(u)
+                    if m is None:
+                        m = ones
+                        for proj, table in checks:
+                            m &= table.get(u & proj, ones)
+                        m = wide[u] = interned.setdefault(m, m)
+                    s &= m
+                if (s - live_low) & ~s & live_high:
+                    continue
+                ways = ways_in * w
+                for f in fin:
+                    ways *= (s >> f & full).bit_count()
+                if nxt < n:
+                    s &= next_mask
+                    out[s] = out.get(s, 0) + ways
+                else:
+                    total += ways
+        layer = out
+        if not layer:
+            break
     isolated = last_nb.count(-1)
-    count = d ** isolated * rec(branching[0], ones) if branching else d ** n
-    states = sum(map(len, memos))
-    # rec reaches itself through its closure; dropping the name breaks that
-    # cycle, so the memo tables are freed now, not at the next cyclic GC.
-    del rec
-    return CountResult(count=count, nodes_visited=nodes, method="backtrack",
-                       memo_states=states)
+    return CountResult(count=d ** isolated * total, nodes_visited=nodes,
+                       method="backtrack", memo_states=states)
 
 
 def check_decision_divisor(divisor: int) -> None:

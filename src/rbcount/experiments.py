@@ -3,10 +3,10 @@
 Sweeps over p or r, and tables of exact counts against the closed-form mean,
 start from one ``RbParams`` point and share one loop: ``_count_points`` checks
 the run's instances, method and jobs once, opens one process pool for the run
-when ``jobs`` > 1, and yields each point's counts in order; ``emit_csv`` writes
-the dataclass rows.  Instance seeds mix the point's seed with the (point,
-index) pair as the generator mixes its draws, so results are reproducible and
-independent of worker count.
+when more than one worker can be used, and yields each point's counts in
+order; ``emit_csv`` writes the dataclass rows.  Instance seeds mix the point's
+seed with the (point, index) pair as the generator mixes its draws, so results
+are reproducible and independent of worker count.
 Counting by "brute" is capped at DEFAULT_BRUTE_CAP assignments: a sweep or
 table beyond it raises CapExceeded before it generates any instance.
 """
@@ -18,6 +18,7 @@ import contextlib
 import dataclasses
 import functools
 import math
+import os
 import sys
 import time
 from dataclasses import dataclass
@@ -32,6 +33,8 @@ from .theory import critical_density, critical_tightness, expected_count
 
 # A grid builds every point's RbParams up front, so its size is bounded.
 MAX_GRID_POINTS = 10 ** 5
+
+_CHUNK = 4  # instances a pool worker counts per task
 
 CSV_HEADER = "p,p_eff,yes_fraction,mean_count_log,median_count_log,mean_nodes,wall_ms"
 
@@ -163,14 +166,16 @@ def _count_points(points: Sequence[RbParams], instances: int, method: str,
     they took.
 
     The instances of the point at index i are seeded instance_seed(point.seed,
-    i, ii) and counted in order, in this process or, for jobs > 1, on one
-    process pool shared by every point.  Every instance of a point shares d
-    and n, so a point beyond the brute-force cap raises CapExceeded before
-    any is generated.
+    i, ii) and counted in order, in this process or on one process pool shared
+    by every point.  The pool has min(jobs, ceil(instances / _CHUNK), CPUs)
+    workers, as more would get no chunk or no CPU, and is not opened for one.
+    Every instance of a point shares d and n, so a point beyond the
+    brute-force cap raises CapExceeded before any is generated.
     """
     _check_batch(instances, method, jobs)
     task = functools.partial(_generate_and_count, method=method)
-    with (concurrent.futures.ProcessPoolExecutor(max_workers=jobs) if jobs > 1
+    workers = min(jobs, -(-instances // _CHUNK), os.cpu_count() or 1)
+    with (concurrent.futures.ProcessPoolExecutor(max_workers=workers) if workers > 1
           else contextlib.nullcontext()) as pool:
         for index, point in enumerate(points):
             started = time.perf_counter()
@@ -178,7 +183,7 @@ def _count_points(points: Sequence[RbParams], instances: int, method: str,
             batch = [dataclasses.replace(point, seed=instance_seed(point.seed, index, ii))
                      for ii in range(instances)]
             results = list(map(task, batch) if pool is None
-                           else pool.map(task, batch, chunksize=4))
+                           else pool.map(task, batch, chunksize=_CHUNK))
             yield point, results, (time.perf_counter() - started) * 1000.0
 
 

@@ -187,8 +187,9 @@ def test_sweep_needs_only_the_fixed_axis(capsys):
                                 "--vary r; the grid starts at --start"]
 
 
-def test_deep_instance_is_a_runtime_error(tmp_path, capsys):
-    # a chain longer than the recursion limit: the counter recurses per variable
+def test_deep_instance_counts(tmp_path, capsys):
+    # a chain far longer than the recursion limit: the counter walks its depths
+    # in a loop.  Binary strings of length n with no "00" number Fibonacci(n+2).
     n = 1500
     lines = ["rbcsp 1", f"n {n} d 2 k 2 m {n - 1}"]
     for v in range(n - 1):
@@ -196,8 +197,11 @@ def test_deep_instance_is_a_runtime_error(tmp_path, capsys):
     chain = tmp_path / "chain.rbcsp"
     chain.write_text("\n".join(lines) + "\n")
     code, out, err = run(["count", str(chain)], capsys)
-    assert code == 2 and out == ""
-    assert err.startswith("rbcount: error: ") and err.count("\n") == 1
+    a, b = 0, 1
+    for _ in range(n + 2):
+        a, b = b, a + b
+    assert code == 0 and err == ""
+    assert out.splitlines()[0] == str(a)
 
 
 def _out_of_memory(instance):

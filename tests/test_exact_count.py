@@ -9,6 +9,8 @@ import random
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rbcount.cnf_encode import count_models, encode_direct
 from rbcount.exact_count import (CapExceeded, count_backtrack, count_brute,
@@ -168,6 +170,67 @@ def test_memo_key_keeps_values_of_unfired_wide_constraints():
     res = count_backtrack(inst)
     assert res.count == count_brute(inst).count == 25
     assert (res.nodes_visited, res.memo_states) == (11, 5)
+
+
+# Each case's (nodes_visited, memo_states) was recorded from the memoised
+# depth-first counter, so the walk must expand the same keys.
+WALK_CASES = {
+    # (0, 1, 4) and (0, 1, 5) both fire at depth 1 and share both sources.
+    "two-wide-tables-fire-together": (build(6, 3, [
+        ((0, 1, 4), [(0, 0, 0), (1, 2, 1), (2, 2, 2), (0, 1, 2)]),
+        ((0, 1, 5), [(0, 0, 1), (1, 2, 0), (2, 0, 2), (1, 1, 1)]),
+        ((1, 2), [(0, 0)]), ((0, 3), [(2, 2)]), ((4, 5), [(0, 1), (2, 2)])]), 323, 28, 10),
+    # The order is 0, 2, 1, 3, 4.  At depth 0, values 1 and 2 share a cut row
+    # and no wide table fires, but variable 0's value steers (0, 2, 4), which
+    # fires at depth 1: the two values must stay apart.
+    "value-steers-an-unfired-table": (build(5, 3, [
+        ((0, 1), [(1, 0), (2, 0)]), ((0, 2, 4), [(1, 0, 0), (2, 1, 1), (2, 0, 2)]),
+        ((0, 3), [(0, 1)]), ((1, 2), [(1, 1)]), ((2, 3), [(0, 0)])]), 106, 13, 4),
+    # Every value of the first depth empties variable 1, so the next depth is
+    # reached by no key although later depths branch.
+    "layer-empties-early": (build(6, 2, [
+        ((0, 1), [(0, 0), (0, 1), (1, 0), (1, 1)]), ((0, 2), [(0, 0)]),
+        ((2, 3), [(1, 1)]), ((3, 4), [(0, 0)]), ((4, 5), [(0, 1)])]), 0, 3, 1),
+}
+
+
+@pytest.mark.parametrize("name", WALK_CASES)
+def test_walk_paths_keep_count_and_search_work(name):
+    inst, count, nodes, states = WALK_CASES[name]
+    res = count_backtrack(inst)
+    assert res.count == count_brute(inst).count == count
+    assert (res.nodes_visited, res.memo_states) == (nodes, states)
+
+
+def test_a_chain_deeper_than_the_recursion_limit_counts():
+    # Binary strings of length n with no "00" number Fibonacci(n + 2).
+    n = 1500
+    inst = build(n, 2, [((v, v + 1), [(0, 0)]) for v in range(n - 1)])
+    a, b = 0, 1
+    for _ in range(n + 2):
+        a, b = b, a + b
+    assert count_backtrack(inst).count == a
+
+
+@st.composite
+def small_instances(draw):
+    k = draw(st.integers(2, 4))
+    n = draw(st.integers(k, 6))
+    d = draw(st.integers(2, 4))
+    tuples = list(itertools.product(range(d), repeat=k))
+    constraints = []
+    for _ in range(draw(st.integers(0, 6))):
+        scope = sorted(draw(st.permutations(range(n)))[:k])
+        nogoods = draw(st.one_of(st.just([]), st.just(tuples),
+                                 st.lists(st.sampled_from(tuples), max_size=len(tuples))))
+        constraints.append((scope, nogoods))
+    return build(n, d, constraints)
+
+
+@settings(max_examples=200, deadline=None)
+@given(inst=small_instances())
+def test_backtrack_matches_brute_property(inst):
+    assert count_backtrack(inst).count == count_brute(inst).count
 
 
 def test_adding_constraints_never_raises_count():

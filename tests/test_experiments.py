@@ -114,6 +114,37 @@ def test_sweep_parallel_equals_serial():
     assert strip_wall(serial) == strip_wall(parallel)
 
 
+class RecordingExecutor:
+    """Stands in for the process pool: records its size, maps in process."""
+
+    sizes: list[int] = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, iterable, chunksize=1):
+        return map(fn, iterable)
+
+
+@pytest.mark.parametrize("instances,cpus,sizes", [(20, 8, [5]), (20, 2, [2]), (4, 8, [])])
+def test_jobs_are_bounded_by_chunks_and_cpus(instances, cpus, sizes, monkeypatch):
+    # No real process starts: a huge --jobs asks for a pool of at most one
+    # worker per chunk of 4 instances and per CPU, and none for one worker.
+    monkeypatch.setattr(experiments.concurrent.futures, "ProcessPoolExecutor", RecordingExecutor)
+    monkeypatch.setattr(experiments.os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(RecordingExecutor, "sizes", [])
+    config = dataclasses.replace(TINY, instances_per_point=instances)
+    many = sweep_tightness(dataclasses.replace(config, jobs=10 ** 6))
+    assert RecordingExecutor.sizes == sizes
+    assert strip_wall(many) == strip_wall(sweep_tightness(config))
+
+
 def test_sweep_methods_agree_on_counts():
     bt = sweep_tightness(dataclasses.replace(TINY, instances_per_point=8))
     br = sweep_tightness(dataclasses.replace(TINY, instances_per_point=8,
