@@ -20,8 +20,7 @@ from .experiments import (COMPARISON_HEADER, METHODS, SweepConfig, accuracy_head
                           crossing_point, emit_csv, emit_svg_plot,
                           estimator_comparison, sweep_header, sweep_manifest,
                           sweep_tightness, write_manifest)
-from .rb_model import (RbParams, derive_sizes, effective_tightness, generate, read_instance,
-                       write_instance)
+from .rb_model import RbParams, derive_sizes, generate, read_instance, write_instance
 from .theory import (DEFAULT_CRITICAL_BAND, ae_count, critical_density, critical_tightness,
                      theorem_applicability)
 
@@ -135,13 +134,12 @@ def cmd_decide(args) -> int:
 def cmd_estimate(args) -> int:
     params = _params(args)
     sizes = derive_sizes(params)
-    p_eff = effective_tightness(params)
     est = ae_count(params, args.delta, args.divisor, critical_band=args.band)
     report = theorem_applicability(params)
     print(f"d {sizes.d}")
     print(f"m {sizes.m}")
     print(f"t_nogoods {sizes.t_nogoods}")
-    print(f"p_eff {p_eff!r}")
+    print(f"p_eff {sizes.p_eff!r}")
     print(f"expected {est.expected!r}")
     print(f"log_expected {est.log_expected!r}")
     print(f"delta {est.delta!r}")
@@ -150,7 +148,7 @@ def cmd_estimate(args) -> int:
     print(f"log_interval_low {est.log_interval_low!r}")
     print(f"log_interval_high {est.log_interval_high!r}")
     print(f"critical_tightness {critical_tightness(params.alpha, params.r, args.divisor)!r}")
-    print(f"critical_density {critical_density(params.alpha, p_eff, args.divisor)!r}")
+    print(f"critical_density {critical_density(params.alpha, sizes.p_eff, args.divisor)!r}")
     print(f"prediction {est.predicted}")
     print(f"alpha_above_inverse_arity {report.alpha_above_inverse_arity}")
     print(f"domain_growth_ok {report.domain_growth_ok}")
@@ -186,7 +184,7 @@ def cmd_sweep(args) -> int:
         method=args.method, jobs=args.jobs)
 
     def progress(row):
-        print(f"{config.vary}={row.p:.4f} p_eff={row.p_eff:.4f} "
+        print(f"{config.vary}={row.value:.4f} p_eff={row.p_eff:.4f} "
               f"yes={row.yes_fraction:.2f} wall_ms={row.wall_ms:.0f}",
               file=sys.stderr)
 
@@ -325,8 +323,7 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(exc, file=sys.stderr)
         return 1
-    except (CapExceeded, ValueError, OSError, RecursionError, OverflowError,
-            MemoryError) as exc:
+    except (CapExceeded, ValueError, OSError, OverflowError, MemoryError) as exc:
         print(f"rbcount: error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
 

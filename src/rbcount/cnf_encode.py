@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Iterable, TextIO
 
 from .exact_count import CapExceeded
-from .rb_model import Instance
+from .rb_model import Instance, int_token
 
 
 class DimacsError(ValueError):
@@ -91,7 +91,7 @@ def read_dimacs(source: TextIO) -> Cnf:
             if len(parts) != 4 or parts[1] != "cnf":
                 raise DimacsError(f"line {lineno}: malformed problem line")
             try:
-                num_vars, declared = int(parts[2]), int(parts[3])
+                num_vars, declared = int_token(parts[2]), int_token(parts[3])
             except ValueError:
                 raise DimacsError(f"line {lineno}: malformed problem line") from None
             if num_vars < 0 or declared < 0:
@@ -100,7 +100,7 @@ def read_dimacs(source: TextIO) -> Cnf:
         if num_vars is None:
             raise DimacsError(f"line {lineno}: clause before problem line")
         try:
-            lits = [int(tok) for tok in line.split()]
+            lits = list(map(int_token, line.split()))
         except ValueError:
             raise DimacsError(f"line {lineno}: non-integer literal") from None
         if not lits or lits[-1] != 0:

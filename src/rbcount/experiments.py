@@ -27,8 +27,7 @@ from typing import Callable, Iterable, Iterator, Sequence, TextIO
 from .exact_count import (DEFAULT_BRUTE_CAP, CountResult, check_brute_cap,
                           check_decision_divisor, count_backtrack, count_brute,
                           decide_from_count)
-from .rb_model import (Instance, RbParams, derive_sizes, effective_tightness, generate,
-                       mix64)
+from .rb_model import DerivedSizes, Instance, RbParams, derive_sizes, generate, mix64
 from .theory import critical_density, critical_tightness, expected_count
 
 # A grid builds every point's RbParams up front, so its size is bounded.
@@ -74,7 +73,7 @@ class SweepConfig:
 
 @dataclass(frozen=True)
 class SweepRow:
-    """Aggregates for one grid point; p is its value on the swept axis (p or r).
+    """Aggregates for one grid point; value is its place on the swept axis, p or r.
 
     Count statistics are natural logs (-inf when the statistic is zero);
     wall_ms is measurement noise and excluded from reproducibility claims.
@@ -82,7 +81,7 @@ class SweepRow:
     counted fails the sweep instead.
     """
 
-    p: float
+    value: float
     p_eff: float
     yes_fraction: float
     mean_count_log: float
@@ -124,7 +123,7 @@ def critical_value(config: SweepConfig) -> float:
     base = config.base
     if config.vary == "p":
         return critical_tightness(base.alpha, base.r, config.divisor)
-    return critical_density(base.alpha, effective_tightness(base), config.divisor)
+    return critical_density(base.alpha, derive_sizes(base).p_eff, config.divisor)
 
 
 METHODS = ("backtrack", "brute")  # the methods count_instance accepts
@@ -160,10 +159,10 @@ def _check_batch(instances: int, method: str, jobs: int) -> None:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
 
 
-def _count_points(points: Sequence[RbParams], instances: int, method: str,
-                  jobs: int) -> Iterator[tuple[RbParams, list[CountResult], float]]:
-    """For each point in order: the point, its instances' results and the ms
-    they took.
+def _count_points(points: Sequence[RbParams], instances: int, method: str, jobs: int
+                  ) -> Iterator[tuple[RbParams, DerivedSizes, list[CountResult], float]]:
+    """For each point in order: the point, its derived sizes, its instances'
+    results and the ms they took.
 
     The instances of the point at index i are seeded instance_seed(point.seed,
     i, ii) and counted in order, in this process or on one process pool shared
@@ -179,12 +178,13 @@ def _count_points(points: Sequence[RbParams], instances: int, method: str,
           else contextlib.nullcontext()) as pool:
         for index, point in enumerate(points):
             started = time.perf_counter()
-            check_method_cap(method, derive_sizes(point).d, point.n)
+            sizes = derive_sizes(point)
+            check_method_cap(method, sizes.d, point.n)
             batch = [dataclasses.replace(point, seed=instance_seed(point.seed, index, ii))
                      for ii in range(instances)]
             results = list(map(task, batch) if pool is None
                            else pool.map(task, batch, chunksize=_CHUNK))
-            yield point, results, (time.perf_counter() - started) * 1000.0
+            yield point, sizes, results, (time.perf_counter() - started) * 1000.0
 
 
 def _log_of_int(x: int) -> float:
@@ -214,15 +214,14 @@ def sweep_tightness(config: SweepConfig,
     raises CapExceeded at its first point: d and n are fixed along either axis.
     """
     rows = []
-    for point, done, wall_ms in _count_points(config.points, config.instances_per_point,
-                                              config.method, config.jobs):
+    for point, sizes, done, wall_ms in _count_points(
+            config.points, config.instances_per_point, config.method, config.jobs):
         counts = [res.count for res in done]
-        d = derive_sizes(point).d
         yes = sum(1 for res in done
-                  if decide_from_count(res.count, d, point.n, config.divisor))
+                  if decide_from_count(res.count, sizes.d, point.n, config.divisor))
         row = SweepRow(
-            p=getattr(point, config.vary),
-            p_eff=effective_tightness(point),
+            value=getattr(point, config.vary),
+            p_eff=sizes.p_eff,
             yes_fraction=yes / config.instances_per_point,
             mean_count_log=_log_mean(counts),
             median_count_log=_log_median(counts),
@@ -240,7 +239,7 @@ def crossing_point(rows: Sequence[SweepRow]) -> float | None:
     for prev, cur in zip(rows, rows[1:]):
         if prev.yes_fraction >= 0.5 > cur.yes_fraction:
             rise = cur.yes_fraction - prev.yes_fraction
-            return prev.p + (0.5 - prev.yes_fraction) * (cur.p - prev.p) / rise
+            return prev.value + (0.5 - prev.yes_fraction) * (cur.value - prev.value) / rise
     return None
 
 
@@ -261,11 +260,10 @@ def _table_point(point: RbParams, instances: int, method: str, jobs: int) -> tup
     """The row's leading cells (k, n, alpha, r, p, p_eff, instances), the
     closed-form ExpectedCount at p_eff and the exact counts of the point's
     instances; a point beyond the brute-force cap raises CapExceeded."""
-    [(_, results, _)] = _count_points([point], instances, method, jobs)
-    sizes = derive_sizes(point)
-    p_eff = effective_tightness(point)
-    lead = (point.k, point.n, point.alpha, point.r, point.p, p_eff, instances)
-    return lead, expected_count(point.n, sizes.d, sizes.m, p_eff), [res.count for res in results]
+    [(_, sizes, results, _)] = _count_points([point], instances, method, jobs)
+    lead = (point.k, point.n, point.alpha, point.r, point.p, sizes.p_eff, instances)
+    return (lead, expected_count(point.n, sizes.d, sizes.m, sizes.p_eff),
+            [res.count for res in results])
 
 
 @dataclass(frozen=True)
@@ -351,7 +349,7 @@ def emit_svg_plot(rows: Sequence[SweepRow], sink: TextIO,
     an optional vertical marker (typically the critical tightness)."""
     width, height = 640, 420
     ml, mr, mt, mb = 60, 20, 30, 45
-    xs = [row.p for row in rows]
+    xs = [row.value for row in rows]
     lo, hi = min(xs), max(xs)
     span = (hi - lo) or 1.0
 
@@ -384,11 +382,11 @@ def emit_svg_plot(rows: Sequence[SweepRow], sink: TextIO,
                    f'y2="{py(0)}" stroke="red" stroke-dasharray="5,4"/>')
         out.append(f'<text x="{px(marker) + 4:.1f}" y="{mt + 12}" fill="red" '
                    f'font-size="11">{marker:.4f}</text>')
-    pts = " ".join(f"{px(row.p):.2f},{py(row.yes_fraction):.2f}" for row in rows)
+    pts = " ".join(f"{px(row.value):.2f},{py(row.yes_fraction):.2f}" for row in rows)
     out.append(f'<polyline points="{pts}" fill="none" stroke="steelblue" '
                'stroke-width="2"/>')
     for row in rows:
-        out.append(f'<circle cx="{px(row.p):.2f}" cy="{py(row.yes_fraction):.2f}" '
+        out.append(f'<circle cx="{px(row.value):.2f}" cy="{py(row.yes_fraction):.2f}" '
                    'r="3" fill="steelblue"/>')
     out.append("</svg>")
     sink.write("\n".join(out) + "\n")

@@ -143,11 +143,12 @@ class RbParams:
 
 @dataclass(frozen=True)
 class DerivedSizes:
-    """Integer sizes a parameter point concretises to."""
+    """What a parameter point realises: its integer sizes and tightness p_eff."""
 
     d: int          # domain size, >= 2
     m: int          # constraint count, >= 1
     t_nogoods: int  # forbidden tuples per constraint, in [1, d**k - 1]
+    p_eff: float    # realised tightness t_nogoods / d**k, in (0, 1)
 
 
 def round_half_up(x: float) -> int:
@@ -156,12 +157,13 @@ def round_half_up(x: float) -> int:
 
 
 def derive_sizes(params: RbParams) -> DerivedSizes:
-    """Concretise (k, n, alpha, r, p) into integer sizes (d, m, t_nogoods).
+    """Concretise (k, n, alpha, r, p) into integer sizes (d, m, t_nogoods)
+    and the effective tightness p_eff they realise.
 
     d = round(n^alpha) clamped to >= 2, m = round(r*n*ln n) clamped to >= 1,
-    t_nogoods = round(p*d^k) clamped into [1, d^k - 1].  Rounding is
-    half-up throughout.  Raises OverflowError when a size leaves the float
-    range.
+    t_nogoods = round(p*d^k) clamped into [1, d^k - 1], p_eff = t_nogoods/d^k.
+    Rounding is half-up throughout.  Raises OverflowError when a size leaves
+    the float range.
     """
     d = max(2, round_half_up(params.n ** params.alpha))
     m = max(1, round_half_up(params.r * params.n * math.log(params.n)))
@@ -169,13 +171,7 @@ def derive_sizes(params: RbParams) -> DerivedSizes:
         raise OverflowError(f"d^k = {d}^{params.k} is too large")
     dk = d ** params.k
     t = min(max(1, round_half_up(params.p * dk)), dk - 1)
-    return DerivedSizes(d=d, m=m, t_nogoods=t)
-
-
-def effective_tightness(params: RbParams) -> float:
-    """Realised tightness t_nogoods / d^k after rounding and clamping."""
-    sizes = derive_sizes(params)
-    return sizes.t_nogoods / sizes.d ** params.k
+    return DerivedSizes(d=d, m=m, t_nogoods=t, p_eff=t / dk)
 
 
 # ---------------------------------------------------------------------------
@@ -199,7 +195,7 @@ class Instance:
     n: int
     d: int
     constraints: tuple[Constraint, ...]
-    provenance: tuple[RbParams, DerivedSizes] | None = None
+    provenance: RbParams | None = None  # the parameters that generated it
 
     def satisfies(self, assignment: Assignment) -> bool:
         """True when no constraint forbids its projection of the assignment."""
@@ -339,7 +335,7 @@ def generate(params: RbParams) -> Instance:
             drawn = _take(words, tuples, t)
             constraints.append(Constraint(tuple(sorted(scope)),
                                           frozenset(map(decoded.__getitem__, drawn))))
-    return Instance(params.n, sizes.d, tuple(constraints), provenance=(params, sizes))
+    return Instance(params.n, sizes.d, tuple(constraints), provenance=params)
 
 
 # ---------------------------------------------------------------------------
@@ -351,7 +347,8 @@ def generate(params: RbParams) -> Instance:
 #   c <v1> ... <vk>         one line per constraint, sorted variable indices
 #   g <a1> ... <ak>         the constraint's nogoods, one tuple per line
 #
-# '#' starts a comment line; blank lines are ignored.
+# '#' starts a comment line; blank lines are ignored.  An integer is an
+# optional '-' then ASCII digits, in this format and in DIMACS.
 
 
 def write_instance(instance: Instance, sink: TextIO) -> None:
@@ -362,7 +359,8 @@ def write_instance(instance: Instance, sink: TextIO) -> None:
     """
     k = instance.arity()
     if instance.provenance is not None:
-        params, sizes = instance.provenance
+        params = instance.provenance
+        sizes = derive_sizes(params)
         sink.write(f"# generated: k={params.k} n={params.n} alpha={params.alpha!r}"
                    f" r={params.r!r} p={params.p!r} seed={params.seed}\n")
         sink.write(f"# derived: d={sizes.d} m={sizes.m} t_nogoods={sizes.t_nogoods}\n")
@@ -379,11 +377,20 @@ def write_instance(instance: Instance, sink: TextIO) -> None:
         sink.write(g_lines)
 
 
+def int_token(tok: str) -> int:
+    """The integer a token spells as an optional '-' then ASCII digits; raises
+    ValueError on anything else int() would take: '+1', '1_0', non-ASCII digits."""
+    digits = tok[1:] if tok[:1] == "-" else tok
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"not an integer token: {tok!r}")
+    return int(tok)
+
+
 def _ints(tokens: Iterable[str], lineno: int) -> tuple[int, ...]:
     out = []
     for tok in tokens:
         try:
-            out.append(int(tok))
+            out.append(int_token(tok))
         except ValueError:
             raise InstanceFormatError(
                 f"line {lineno}: expected integer, got {tok!r}") from None
@@ -429,7 +436,7 @@ def read_instance(source: TextIO) -> Instance:
     scopes: list[tuple[int, ...]] = []
     nogoods: list[set[tuple[int, ...]]] = []
     current = None  # the nogood set of the latest constraint
-    as_int = _Memo(int).__getitem__
+    as_int = _Memo(int_token).__getitem__
     for lineno, ln in lines:
         toks = ln.split()  # blank and '#' lines are skipped as in _next_tokens
         if not toks:

@@ -1,9 +1,9 @@
 """Closed-form analysis of solution counts for Model RB instances.
 
 Everything works in terms of the *effective* tightness p_eff = t_nogoods/d^k
-realised after rounding, so the formulas line up with what the generator
-actually builds.  Counts are handled in natural-log space wherever they can
-overflow a float.
+realised after rounding (``derive_sizes``), so the formulas line up with what
+the generator actually builds.  Counts are handled in natural-log space
+wherever they can overflow a float.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .exact_count import check_decision_divisor
-from .rb_model import RbParams, derive_sizes, effective_tightness
+from .rb_model import RbParams, derive_sizes
 
 PREDICT_YES = "YES"
 PREDICT_NO = "NO"
@@ -154,12 +154,11 @@ def ae_count(params: RbParams, delta: float, divisor: float = 2,
     if not critical_band >= 0:  # NaN too: it would never flag CRITICAL
         raise ValueError(f"critical_band must be >= 0, got {critical_band}")
     sizes = derive_sizes(params)
-    p_eff = effective_tightness(params)
-    log_e, linear = expected_count(params.n, sizes.d, sizes.m, p_eff)
+    log_e, linear = expected_count(params.n, sizes.d, sizes.m, sizes.p_eff)
     p_cr = critical_tightness(params.alpha, params.r, divisor)
-    if abs(p_eff - p_cr) <= critical_band:
+    if abs(sizes.p_eff - p_cr) <= critical_band:
         predicted = PREDICT_CRITICAL
-    elif p_eff < p_cr:
+    elif sizes.p_eff < p_cr:
         predicted = PREDICT_YES
     else:
         predicted = PREDICT_NO

@@ -97,8 +97,8 @@ def test_criterion_3_phase_transition_sweeps(transition_sweeps):
     details = []
     ok = True
     for n, (rows, wall) in transition_sweeps.items():
-        low = [row for row in rows if row.p <= 0.10 + 1e-12]
-        high = [row for row in rows if row.p >= 0.40 - 1e-12]
+        low = [row for row in rows if row.value <= 0.10 + 1e-12]
+        high = [row for row in rows if row.value >= 0.40 - 1e-12]
         ok &= all(row.yes_fraction == 1.0 for row in low)
         ok &= all(row.yes_fraction == 0.0 for row in high)
         cross = crossing_point(rows)

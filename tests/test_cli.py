@@ -302,6 +302,10 @@ def test_accuracy_rejects_bad_deltas(capsys):
                         "-r", "1.5", "-p", "0.2", "--deltas", "0.5,oops"], capsys)
     assert code == 1
     assert "bad delta list" in err
+    code, _, err = run(["accuracy", "-k", "2", "-n", "5", "-a", "0.8",
+                        "-r", "1.5", "-p", "0.2", "--deltas", ","], capsys)
+    assert code == 1
+    assert err.splitlines() == ["rbcount accuracy: error: empty delta list"]
 
 
 def test_compare_csv(capsys):
@@ -400,6 +404,12 @@ def test_runtime_errors_exit_2(tmp_path, capsys):
     bad.write_text("rbcsp 1\nn 2 d 2 k 2 m 1\nc 0 1\ng 9 9\n")
     code, _, err = run(["count", str(bad)], capsys)
     assert code == 2 and "error" in err
+
+    for token in ("1_0", "+1", "\u0661", "\uff11"):  # int() takes each of these
+        bad.write_text(f"rbcsp 1\nn 2 d 2 k 2 m 1\nc 0 1\ng 0 {token}\n", encoding="utf-8")
+        code, out, err = run(["count", str(bad)], capsys)
+        assert code == 2 and out == ""
+        assert err.splitlines() == [f"rbcount: error: line 4: expected integer, got {token!r}"]
 
     code, _, err = run(["gen", "-k", "2", "-n", "1", "-a", "0.8", "-r", "1.5",
                         "-p", "0.3"], capsys)  # n < k is a parameter error

@@ -126,6 +126,10 @@ def test_read_dimacs_accepts_comments_and_blank_lines():
     "p cnf 2 1\n1 x 0\n",                # non-integer literal
     "p cnf -2 1\n1 0\n",                 # negative variable count
     "p cnf 2 1\np cnf 2 1\n1 0\n",       # duplicate header
+    "p cnf 2 1\n+1 0\n",                 # plus sign
+    "p cnf 2 1\n1 \u0660\n",             # arabic-indic zero
+    "p cnf 1_0 1\n1 0\n",                # underscore in the header
+    "p cnf \uff12 1\n1 0\n",             # fullwidth digit in the header
 ])
 def test_read_dimacs_rejects_malformed(text):
     with pytest.raises(DimacsError):

@@ -30,7 +30,7 @@ def strip_wall(rows):
 
 
 def mk_row(p, yes):
-    return SweepRow(p=p, p_eff=p, yes_fraction=yes, mean_count_log=0.0,
+    return SweepRow(value=p, p_eff=p, yes_fraction=yes, mean_count_log=0.0,
                     median_count_log=0.0, mean_nodes=0.0, wall_ms=0.0)
 
 
@@ -77,7 +77,7 @@ def test_sweep_rows_match_by_hand_recount():
     rows = sweep_tightness(TINY)
     base = TINY.base
     values = grid_values(base.p, TINY.grid_stop, TINY.grid_step)
-    assert [row.p for row in rows] == values
+    assert [row.value for row in rows] == values
 
     # regenerate grid point 0 from scratch and reproduce every statistic
     gi = 0
@@ -150,7 +150,7 @@ def test_sweep_methods_agree_on_counts():
     br = sweep_tightness(dataclasses.replace(TINY, instances_per_point=8,
                                              method="brute"))
     for a, b in zip(bt, br):
-        assert (a.p, a.p_eff, a.yes_fraction) == (b.p, b.p_eff, b.yes_fraction)
+        assert (a.value, a.p_eff, a.yes_fraction) == (b.value, b.p_eff, b.yes_fraction)
         assert a.mean_count_log == b.mean_count_log
         assert a.median_count_log == b.median_count_log
         assert a.mean_nodes < b.mean_nodes  # brute always walks the full tree
@@ -161,7 +161,7 @@ def test_sweep_over_density_axis():
                          grid_stop=1.5, grid_step=0.5, vary="r",
                          instances_per_point=5)
     rows = sweep_tightness(config)
-    assert [row.p for row in rows] == [0.5, 1.0, 1.5]  # grid value in the p slot
+    assert [row.value for row in rows] == [0.5, 1.0, 1.5]  # r on this axis
     assert len({row.p_eff for row in rows}) == 1       # tightness held fixed
 
 
@@ -354,7 +354,7 @@ def test_csv_header_and_round_trip():
     parsed = list(csv.DictReader(io.StringIO(out.getvalue())))
     assert len(parsed) == len(rows)
     for rec, row in zip(parsed, rows):
-        assert float(rec["p"]) == row.p                # repr round-trips exactly
+        assert float(rec["p"]) == row.value            # repr round-trips exactly
         assert float(rec["p_eff"]) == row.p_eff
         assert float(rec["yes_fraction"]) == row.yes_fraction
         assert float(rec["mean_count_log"]) == row.mean_count_log
@@ -382,6 +382,13 @@ def test_comparison_csv_shape():
     assert header == ("k,n,alpha,r,p,p_eff,instances,mean_count,"
                       "mean_count_log,expected,log_expected")
     assert float(body.split(",")[7]) == row.mean_count
+
+
+def test_emit_csv_rejects_a_row_that_does_not_fit_its_header():
+    out = io.StringIO()
+    with pytest.raises(ValueError, match=r"^row has 7 cells for 6 columns$"):
+        emit_csv(sweep_header("p")[:-1], [mk_row(0.1, 1.0)], out)
+    assert out.getvalue() == ",".join(sweep_header("p")[:-1]) + "\n"  # the header only
 
 
 def test_svg_plot_contents():

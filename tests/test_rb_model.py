@@ -16,8 +16,8 @@ from hypothesis import strategies as st
 from rbcount import rb_model
 from rbcount.rb_model import (LANE_CAP, MASK64, Constraint, DerivedSizes, Instance,
                               InstanceFormatError, RbParams, _lane_words, derive_sizes,
-                              effective_tightness, generate, mix64, read_instance,
-                              round_half_up, write_instance)
+                              generate, mix64, read_instance, round_half_up,
+                              write_instance)
 from rbcount.theory import theorem_applicability
 
 
@@ -27,7 +27,7 @@ def params_for(k, n, d, m, t, seed=0):
     r = m / (n * math.log(n))
     p = t / d ** k
     got = derive_sizes(RbParams(k, n, alpha, r, p, seed))
-    assert got == DerivedSizes(d, m, t)
+    assert got == DerivedSizes(d, m, t, p)
     return RbParams(k, n, alpha, r, p, seed)
 
 
@@ -44,7 +44,7 @@ def test_domain_size_matches_published_runs(n, alpha, d):
 
 def test_derived_sizes_worked_example():
     sizes = derive_sizes(RbParams(2, 4, 1.0, 1.0, 0.25))
-    assert sizes == DerivedSizes(d=4, m=6, t_nogoods=4)  # m = round(4*ln 4) = 6
+    assert sizes == DerivedSizes(d=4, m=6, t_nogoods=4, p_eff=0.25)  # m = round(4*ln 4) = 6
 
 
 def test_half_up_rounding():
@@ -57,7 +57,7 @@ def test_half_up_rounding():
 def test_clamps():
     # tiny alpha -> d clamps to 2; tiny r -> m clamps to 1; tiny p -> t clamps to 1
     sizes = derive_sizes(RbParams(2, 3, 0.01, 0.001, 1e-9))
-    assert sizes == DerivedSizes(d=2, m=1, t_nogoods=1)
+    assert sizes == DerivedSizes(d=2, m=1, t_nogoods=1, p_eff=0.25)
     # p near 1 -> t clamps to d^k - 1
     sizes = derive_sizes(RbParams(2, 3, 0.01, 0.001, 0.999999))
     assert sizes.t_nogoods == 3
@@ -98,7 +98,7 @@ def test_params_accept_huge_sizes_in_the_float_range():
 
 def test_effective_tightness_reflects_rounding():
     params = RbParams(2, 7, 0.8, 1.5, 0.3)  # t = round(7.5) = 8 of 25 tuples
-    assert effective_tightness(params) == 8 / 25
+    assert derive_sizes(params).p_eff == 8 / 25
 
 
 # === the generator ===
@@ -152,7 +152,7 @@ def reference_generate(params):
         drawn = draw_distinct(words, d ** k, sizes.t_nogoods)
         constraints.append(Constraint(scope, frozenset(
             tuple(index // d ** (k - 1 - i) % d for i in range(k)) for index in drawn)))
-    return Instance(params.n, d, tuple(constraints), provenance=(params, sizes))
+    return Instance(params.n, d, tuple(constraints), provenance=params)
 
 
 @settings(max_examples=150, deadline=None)
@@ -359,6 +359,7 @@ def test_parse_allows_empty_nogood_set():
 # (text, what, the exact message): a test's id is "<text>-<what>"
 MALFORMED = [
     ("", "empty", "empty input"),
+    ("rbcsp 1\n", "no size line", "missing size line"),
     ("rbcsp 2\nn 2 d 2 k 2 m 0\n", "version", "line 1: unsupported format version"),
     ("nonsense 1\nn 2 d 2 k 2 m 0\n", "magic", "line 1: expected magic 'rbcsp'"),
     ("rbcsp 1\nn 2 d 2 k 2\n", "size line", "line 2: expected 'n <n> d <d> k <k> m <m>'"),
@@ -399,6 +400,16 @@ MALFORMED = [
      "scope before integers", "line 3: nogood before any scope line"),
     ("rbcsp 1\nn 3 d 2 k 2 m 1\nc 0 1\ng 0 1 one\n",
      "integers before arity", "line 4: expected integer, got 'one'"),
+    # an integer is an optional '-' then ASCII digits, not whatever int() takes
+    ("rbcsp 1\nn 2 d 2 k 2 m 1\nc 0 1\ng 0 1_0\n", "underscore",
+     "line 4: expected integer, got '1_0'"),
+    ("rbcsp 1\nn 2 d 2 k 2 m 1\nc +0 1\n", "plus sign", "line 3: expected integer, got '+0'"),
+    ("rbcsp 1\nn 2 d 2 k 2 m 1\nc 0 \u0661\n", "arabic-indic digit",
+     "line 3: expected integer, got '\u0661'"),
+    ("rbcsp 1\nn \uff13 d 2 k 2 m 0\n", "fullwidth digit in the header",
+     "line 2: expected integer, got '\uff13'"),
+    ("rbcsp 1\nn 2 d 2 k 2 m 1\nc --0 1\n", "two minus signs",
+     "line 3: expected integer, got '--0'"),
 ]
 
 
@@ -410,7 +421,7 @@ def test_parse_rejects_malformed(text, message):
 
 
 def test_parse_reads_signed_and_zero_padded_integers():
-    text = "rbcsp 1\nn 3 d 2 k 2 m 1\nc +0 02\ng +1 01\ng 0 +0\n"
+    text = "rbcsp 1\nn 3 d 2 k 2 m 1\nc -0 02\ng 01 01\ng 0 -0\n"
     inst = read_instance(io.StringIO(text))
     assert inst.constraints == (Constraint((0, 2), frozenset({(1, 1), (0, 0)})),)
 
@@ -429,6 +440,9 @@ def test_instance_validate_catches_bad_data():
         bad.validate()
     bad = Instance(2, 2, (Constraint((0, 1), frozenset({(0, 5)})),))
     with pytest.raises(InstanceFormatError):
+        bad.validate()
+    bad = Instance(2, 2, (Constraint((0,), frozenset({(0,)})),))
+    with pytest.raises(InstanceFormatError, match=r"^arity must be >= 2, got 1$"):
         bad.validate()
 
 
