@@ -9,11 +9,10 @@ at-most-one clauses, and every nogood contributes one all-negative clause.
 from __future__ import annotations
 
 import itertools
-import operator
 from dataclasses import dataclass
 from typing import Iterable, TextIO
 
-from .exact_count import CapExceeded
+from .exact_count import DEFAULT_BRUTE_CAP, CapExceeded
 from .rb_model import Instance, int_token
 
 
@@ -49,24 +48,36 @@ def encode_direct(instance: Instance) -> Cnf:
 
     Clause order is deterministic: at-least-one per variable, then pairwise
     at-most-one per variable, then one clause per nogood with nogoods in
-    sorted order.
+    sorted order.  The instance must be valid, as read_instance and generate
+    return it: the CNF is built unchecked, and write_dimacs writes it as it
+    stands.  Raises CapExceeded, before building anything, when the encoding
+    has more than DEFAULT_BRUTE_CAP clauses.
     """
     n, d = instance.n, instance.d
-    clauses: list[tuple[int, ...]] = []
-    for i in range(n):
-        clauses.append(tuple(boolean_var(i, v, d) for v in range(d)))
-    for i in range(n):
-        for v, w in itertools.combinations(range(d), 2):
-            clauses.append((-boolean_var(i, v, d), -boolean_var(i, w, d)))
+    size = n + n * (d * (d - 1) // 2) + sum(len(c.nogoods) for c in instance.constraints)
+    if size > DEFAULT_BRUTE_CAP:
+        shown = size if size < 10 ** 60 else f"at least 2^{size.bit_length() - 1}"
+        raise CapExceeded(f"direct encoding has {shown} clauses, "
+                          f"more than the cap {DEFAULT_BRUTE_CAP}")
+    # neg[i][v] = -boolean_var(i, v, d), one int shared by every clause that holds it
+    neg = [[-boolean_var(i, v, d) for v in range(d)] for i in range(n)]
+    clauses: list[tuple[int, ...]] = [tuple(boolean_var(i, v, d) for v in range(d))
+                                      for i in range(n)]
+    for lits in neg:
+        clauses.extend(itertools.combinations(lits, 2))
     for c in instance.constraints:
-        # -boolean_var(var, val, d) is the scope variable's -boolean_var(var, 0, d) - val
-        negs = [-boolean_var(var, 0, d) for var in c.scope]
-        clauses.extend(tuple(map(operator.sub, negs, ng)) for ng in sorted(c.nogoods))
+        # the sorted nogoods column by column, each value mapped to its literal,
+        # zipped back into one clause per nogood
+        columns = zip(*sorted(c.nogoods))
+        clauses.extend(zip(*[map(neg[var].__getitem__, col)
+                             for var, col in zip(c.scope, columns)]))
     return Cnf(num_vars=n * d, clauses=tuple(clauses))
 
 
 def write_dimacs(cnf: Cnf, sink: TextIO, comments: Iterable[str] = ()) -> None:
-    cnf.validate()
+    """Write cnf as DIMACS text, one clause per line, without validating it:
+    encode_direct's CNF of a valid instance is valid, and read_dimacs
+    validates what it reads."""
     for comment in comments:
         sink.write(f"c {comment}\n")
     sink.write(f"p cnf {cnf.num_vars} {len(cnf.clauses)}\n")
@@ -76,7 +87,12 @@ def write_dimacs(cnf: Cnf, sink: TextIO, comments: Iterable[str] = ()) -> None:
 
 
 def read_dimacs(source: TextIO) -> Cnf:
-    """Strict DIMACS reader: one clause per line, counts must match the header."""
+    """Strict DIMACS reader: one clause per line, counts must match the header.
+
+    This is where DIMACS text enters, so the CNF is validated here: no empty
+    clause, literals nonzero and within the header's variable count, no
+    variable both ways in one clause.
+    """
     num_vars = None
     declared = None
     clauses: list[tuple[int, ...]] = []
@@ -92,8 +108,8 @@ def read_dimacs(source: TextIO) -> Cnf:
                 raise DimacsError(f"line {lineno}: malformed problem line")
             try:
                 num_vars, declared = int_token(parts[2]), int_token(parts[3])
-            except ValueError:
-                raise DimacsError(f"line {lineno}: malformed problem line") from None
+            except ValueError as exc:
+                raise DimacsError(f"line {lineno}: malformed problem line: {exc}") from None
             if num_vars < 0 or declared < 0:
                 raise DimacsError(f"line {lineno}: negative counts")
             continue
@@ -101,8 +117,8 @@ def read_dimacs(source: TextIO) -> Cnf:
             raise DimacsError(f"line {lineno}: clause before problem line")
         try:
             lits = list(map(int_token, line.split()))
-        except ValueError:
-            raise DimacsError(f"line {lineno}: non-integer literal") from None
+        except ValueError as exc:
+            raise DimacsError(f"line {lineno}: {exc}") from None
         if not lits or lits[-1] != 0:
             raise DimacsError(f"line {lineno}: clause must end with 0")
         if 0 in lits[:-1]:

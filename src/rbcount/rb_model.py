@@ -366,10 +366,11 @@ def write_instance(instance: Instance, sink: TextIO) -> None:
         sink.write(f"# derived: d={sizes.d} m={sizes.m} t_nogoods={sizes.t_nogoods}\n")
     sink.write(f"{FORMAT_MAGIC} {FORMAT_VERSION}\n")
     sink.write(f"n {instance.n} d {instance.d} k {k} m {len(instance.constraints)}\n")
-    g_line = "g" + " %s" * k + "\n"  # %s formats an int as str() does
+    # each distinct nogood's line is formatted once; %s formats an int as str() does
+    g_line = _Memo(("g" + " %s" * k + "\n").__mod__).__getitem__
     for ci, c in enumerate(instance.constraints):
         try:
-            g_lines = "".join(map(g_line.__mod__, sorted(c.nogoods)))
+            g_lines = "".join(map(g_line, sorted(c.nogoods)))
         except TypeError:  # % got a nogood not of length k
             raise InstanceFormatError(f"constraint {ci}: a nogood is not {k} "
                                       f"values in [0, {instance.d})") from None
@@ -378,23 +379,31 @@ def write_instance(instance: Instance, sink: TextIO) -> None:
 
 
 def int_token(tok: str) -> int:
-    """The integer a token spells as an optional '-' then ASCII digits; raises
-    ValueError on anything else int() would take: '+1', '1_0', non-ASCII digits."""
+    """The integer a token spells as an optional '-' then ASCII digits.
+
+    Raises ValueError on anything else int() would take ('+1', '1_0',
+    non-ASCII digits) and on more digits than int() converts (Python's
+    integer-string limit, 4300 by default).  The message quotes at most the
+    token's first 20 characters, so it stays one short line.
+    """
     digits = tok[1:] if tok[:1] == "-" else tok
     if not (digits.isascii() and digits.isdigit()):
-        raise ValueError(f"not an integer token: {tok!r}")
-    return int(tok)
+        raise ValueError(f"expected integer, got {_quote(tok)}")
+    try:
+        return int(tok)
+    except ValueError:  # past the integer-string limit
+        raise ValueError(f"integer {_quote(tok)} has too many digits ({len(digits)})") from None
+
+
+def _quote(tok: str) -> str:
+    return repr(tok) if len(tok) <= 20 else f"{tok[:20]!r}..."
 
 
 def _ints(tokens: Iterable[str], lineno: int) -> tuple[int, ...]:
-    out = []
-    for tok in tokens:
-        try:
-            out.append(int_token(tok))
-        except ValueError:
-            raise InstanceFormatError(
-                f"line {lineno}: expected integer, got {tok!r}") from None
-    return tuple(out)
+    try:
+        return tuple(map(int_token, tokens))
+    except ValueError as exc:
+        raise InstanceFormatError(f"line {lineno}: {exc}") from None
 
 
 def _next_tokens(lines: Iterable[tuple[int, str]]) -> tuple[int, list[str] | None]:
@@ -437,32 +446,41 @@ def read_instance(source: TextIO) -> Instance:
     nogoods: list[set[tuple[int, ...]]] = []
     current = None  # the nogood set of the latest constraint
     as_int = _Memo(int_token).__getitem__
+    # Each distinct g line's text is parsed once: an instance repeats a few
+    # nogood lines many times.  A line is cached once it has passed the tag,
+    # integer and length checks, whose outcome depends on its text alone from
+    # then on (current is set before any g line passes), so a repeat goes
+    # straight to the duplicate check.
+    g_values: dict[str, tuple[int, ...]] = {}
     for lineno, ln in lines:
-        toks = ln.split()  # blank and '#' lines are skipped as in _next_tokens
-        if not toks:
-            continue
-        tag = toks[0]
-        if tag == "g":
-            if current is None:
-                raise InstanceFormatError(f"line {lineno}: nogood before any scope line")
-        elif tag != "c":
-            if tag.startswith("#"):
+        vals = g_values.get(ln)
+        if vals is None:
+            toks = ln.split()  # blank and '#' lines are skipped as in _next_tokens
+            if not toks:
                 continue
-            raise InstanceFormatError(f"line {lineno}: unknown line tag {tag!r}")
-        try:
-            vals = tuple(map(as_int, toks[1:]))
-        except ValueError:
-            vals = _ints(toks[1:], lineno)  # raises, naming the bad token
-        if len(vals) != k:
-            raise InstanceFormatError(f"line {lineno}: {tag!r} line needs {k} values")
-        if tag == "g":
-            size = len(current)
-            current.add(vals)
-            if len(current) == size:
-                raise InstanceFormatError(f"line {lineno}: duplicate nogood {vals}")
-        else:
-            scopes.append(vals)
-            nogoods.append(current := set())
+            tag = toks[0]
+            if tag == "g":
+                if current is None:
+                    raise InstanceFormatError(f"line {lineno}: nogood before any scope line")
+            elif tag != "c":
+                if tag.startswith("#"):
+                    continue
+                raise InstanceFormatError(f"line {lineno}: unknown line tag {tag!r}")
+            try:
+                vals = tuple(map(as_int, toks[1:]))
+            except ValueError:
+                vals = _ints(toks[1:], lineno)  # raises, naming the bad token
+            if len(vals) != k:
+                raise InstanceFormatError(f"line {lineno}: {tag!r} line needs {k} values")
+            if tag == "c":
+                scopes.append(vals)
+                nogoods.append(current := set())
+                continue
+            g_values[ln] = vals
+        size = len(current)
+        current.add(vals)
+        if len(current) == size:
+            raise InstanceFormatError(f"line {lineno}: duplicate nogood {vals}")
 
     if len(scopes) != m:
         raise InstanceFormatError(f"declared m={m} but found {len(scopes)} constraints")

@@ -15,6 +15,8 @@ from rbcount.cnf_encode import read_dimacs
 from rbcount.experiments import CSV_HEADER, sweep_header
 from rbcount.rb_model import read_instance
 
+from test_rb_model import int_digit_limit
+
 DATA = pathlib.Path(__file__).parent / "data"
 TINY = str(DATA / "tiny.rbcsp")
 
@@ -208,12 +210,14 @@ def _out_of_memory(instance):
     raise MemoryError
 
 
-# Never run encode on these files: on a huge d its first clause lists d values,
-# and it allocates without bound.
+HUGE_D = "n 3 d 1" + "0" * 30 + " k 2 m 1\nc 0 1\ng 0 0\n"  # (1 << d) - 1 overflows
+HUGE_N = "n 1" + "0" * 30 + " d 2 k 2 m 0\n"  # n is past an index-sized int
+
+
 @pytest.mark.parametrize("command", ["count", "decide"])
 @pytest.mark.parametrize("sizes,counter", [
-    ("n 3 d 1" + "0" * 30 + " k 2 m 1\nc 0 1\ng 0 0\n", None),  # (1 << d) - 1 overflows
-    ("n 1" + "0" * 30 + " d 2 k 2 m 0\n", None),  # n is past an index-sized int
+    (HUGE_D, None),
+    (HUGE_N, None),
     ("n 3 d 4 k 2 m 1\nc 0 1\ng 0 0\n", _out_of_memory),  # the counter's tables do not fit
 ], ids=["huge-d", "huge-n", "out-of-memory"])
 def test_instances_too_large_to_count_exit_2(command, sizes, counter, tmp_path, capsys,
@@ -226,6 +230,29 @@ def test_instances_too_large_to_count_exit_2(command, sizes, counter, tmp_path, 
     assert code == 2 and out == ""
     assert err.startswith("rbcount: error: ") and err.count("\n") == 1
     assert err.removeprefix("rbcount: error: ").strip()  # a MemoryError has no message
+
+
+@pytest.mark.parametrize("sizes", [HUGE_D, HUGE_N], ids=["huge-d", "huge-n"])
+def test_instances_too_large_to_encode_exit_2(sizes, tmp_path, capsys):
+    # the clause count is checked before any clause is built
+    path = tmp_path / "big.rbcsp"
+    path.write_text("rbcsp 1\n" + sizes)
+    out_path = tmp_path / "big.cnf"
+    code, out, err = run(["encode", str(path), "-o", str(out_path)], capsys)
+    assert code == 2 and out == "" and not out_path.exists()
+    assert err.startswith("rbcount: error: direct encoding has ") and err.count("\n") == 1
+    assert err.rstrip().endswith("clauses, more than the cap 100000000")
+
+
+def test_integer_with_too_many_digits_exits_2(tmp_path, capsys):
+    limit = int_digit_limit()
+    path = tmp_path / "long.rbcsp"
+    path.write_text(f"rbcsp 1\nn 1{'0' * limit} d 2 k 2 m 0\n")
+    code, out, err = run(["count", str(path)], capsys)
+    assert code == 2 and out == ""
+    assert err.splitlines() == [f"rbcount: error: line 2: integer '1{'0' * 19}'... "
+                                f"has too many digits ({limit + 1})"]
+    assert len(err) < 200
 
 
 @pytest.fixture

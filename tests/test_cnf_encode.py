@@ -5,6 +5,7 @@ from __future__ import annotations
 import io
 import math
 import random
+import re
 
 import pytest
 
@@ -13,7 +14,7 @@ from rbcount.cnf_encode import (Cnf, DimacsError, boolean_var, count_models,
 from rbcount.exact_count import CapExceeded, count_brute
 from rbcount.rb_model import Constraint, Instance, generate
 
-from test_rb_model import params_for
+from test_rb_model import int_digit_limit, params_for
 
 
 def test_variable_numbering_is_row_major_one_based():
@@ -55,6 +56,33 @@ def test_clause_census_matches_formula():
         nogood_total = sum(len(c.nogoods) for c in inst.constraints)
         assert cnf.num_vars == n * d
         assert len(cnf.clauses) == n + at_most_one + nogood_total
+
+
+def test_encoding_of_generated_instances_is_valid():
+    # write_dimacs does not validate: encode_direct's CNF of a valid instance
+    # must pass Cnf.validate as built
+    rng = random.Random(17)
+    for k, max_d in ((2, 6), (3, 4), (4, 3)):
+        for _ in range(15):
+            n = rng.randint(k, 7)
+            d = rng.randint(2, max_d)
+            inst = generate(params_for(k, n, d, rng.randint(1, 12), rng.randint(1, d ** k - 1),
+                                       seed=rng.getrandbits(32)))
+            encode_direct(inst).validate()
+
+
+@pytest.mark.parametrize("inst,message", [
+    (Instance(1, 14143, ()),  # 1 + 14143 * 14142 / 2 clauses
+     "direct encoding has 100005154 clauses, more than the cap 100000000"),
+    (Instance(3, 10 ** 30, (Constraint((0, 1), frozenset({(0, 0)})),)),
+     "direct encoding has at least 2^199 clauses, more than the cap 100000000"),
+    (Instance(10 ** 5000, 2, ()),
+     "direct encoding has at least 2^16610 clauses, more than the cap 100000000"),
+], ids=["just-past-cap", "huge-d", "huge-n"])
+def test_encode_refuses_more_clauses_than_the_cap(inst, message):
+    # the count n + n*d(d-1)/2 + nogoods is checked before any clause is built
+    with pytest.raises(CapExceeded, match=f"^{re.escape(message)}$"):
+        encode_direct(inst)
 
 
 def test_model_count_equals_assignment_count():
@@ -134,6 +162,20 @@ def test_read_dimacs_accepts_comments_and_blank_lines():
 def test_read_dimacs_rejects_malformed(text):
     with pytest.raises(DimacsError):
         read_dimacs(io.StringIO(text))
+
+
+@pytest.mark.parametrize("template,message", [
+    ("p cnf {big} 1\n1 0\n", "line 1: malformed problem line: integer '{prefix}'... "
+                             "has too many digits ({digits})"),
+    ("p cnf 2 1\n{big} 0\n", "line 2: integer '{prefix}'... has too many digits ({digits})"),
+], ids=["header", "literal"])
+def test_read_dimacs_names_an_integer_with_too_many_digits(template, message):
+    limit = int_digit_limit()
+    big = "1" + "0" * limit
+    with pytest.raises(DimacsError) as err:
+        read_dimacs(io.StringIO(template.format(big=big)))
+    assert str(err.value) == message.format(prefix=big[:20], digits=limit + 1)
+    assert len(str(err.value)) < 200
 
 
 def test_cnf_validate_rejects_bad_shapes():

@@ -7,6 +7,7 @@ import itertools
 import math
 import random
 import re
+import sys
 from unittest import mock
 
 import pytest
@@ -380,6 +381,11 @@ MALFORMED = [
      "line 4: 'g' line needs 2 values"),
     ("rbcsp 1\nn 2 d 2 k 2 m 1\nc 0 1\ng 0 0\ng 0 0\n", "duplicate nogood",
      "line 5: duplicate nogood (0, 0)"),
+    # the same nogood in other text: parsed, not taken from the line cache
+    ("rbcsp 1\nn 2 d 2 k 2 m 1\nc 0 1\ng 0 0\ng  0\t0 \n", "duplicate nogood respaced",
+     "line 5: duplicate nogood (0, 0)"),
+    ("rbcsp 1\nn 2 d 2 k 2 m 1\nc 0 1\ng 0 1\ng 0 01\n", "duplicate nogood zero-padded",
+     "line 5: duplicate nogood (0, 1)"),
     ("rbcsp 1\nn 2 d 2 k 2 m 1\ng 0 0\nc 0 1\n", "nogood before scope",
      "line 3: nogood before any scope line"),
     ("rbcsp 1\nn 2 d 2 k 2 m 1\nc 0 1\nx 0 0\n", "unknown tag",
@@ -418,6 +424,34 @@ MALFORMED = [
 def test_parse_rejects_malformed(text, message):
     with pytest.raises(InstanceFormatError, match=f"^{re.escape(message)}$"):
         read_instance(io.StringIO(text))
+
+
+def test_parse_reads_a_repeated_nogood_line_into_each_constraint():
+    # the second and third blocks repeat the first block's line text exactly
+    text = "rbcsp 1\nn 3 d 2 k 2 m 3\nc 0 1\ng 1 0\nc 1 2\ng 1 0\ng 0 1\nc 0 2\ng 0 1\n"
+    inst = read_instance(io.StringIO(text))
+    assert inst.constraints == (Constraint((0, 1), frozenset({(1, 0)})),
+                                Constraint((1, 2), frozenset({(1, 0), (0, 1)})),
+                                Constraint((0, 2), frozenset({(0, 1)})))
+
+
+def int_digit_limit():
+    """The most digits int() converts; skips the test on a Python without a limit."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        pytest.skip("this Python converts integers of any length")
+    return limit
+
+
+def test_parse_names_an_integer_with_too_many_digits():
+    limit = int_digit_limit()
+    text = f"rbcsp 1\nn 1{'0' * limit} d 2 k 2 m 0\n"
+    with pytest.raises(InstanceFormatError) as err:
+        read_instance(io.StringIO(text))
+    message = str(err.value)
+    assert message == (f"line 2: integer '1{'0' * 19}'... has too many digits "
+                       f"({limit + 1})")
+    assert len(message) < 200
 
 
 def test_parse_reads_signed_and_zero_padded_integers():
