@@ -19,13 +19,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .rb_model import Instance
-
-DEFAULT_BRUTE_CAP = 10 ** 8
-
-
-class CapExceeded(RuntimeError):
-    """The assignment space is larger than the configured enumeration cap."""
+from .rb_model import DEFAULT_BRUTE_CAP, CapExceeded, Instance
 
 
 @dataclass(frozen=True)

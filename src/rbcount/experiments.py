@@ -8,7 +8,8 @@ order; ``emit_csv`` writes the dataclass rows.  Instance seeds mix the point's
 seed with the (point, index) pair as the generator mixes its draws, so results
 are reproducible and independent of worker count.
 Counting by "brute" is capped at DEFAULT_BRUTE_CAP assignments: a sweep or
-table beyond it raises CapExceeded before it generates any instance.
+table beyond it raises CapExceeded before it generates any instance.  So is
+generation, at DEFAULT_BRUTE_CAP nogoods: generate raises it before any draw.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .exact_count import (DEFAULT_BRUTE_CAP, CountResult, check_brute_cap,
                           check_decision_divisor, count_backtrack, count_brute,
                           decide_from_count)
 from .rb_model import DerivedSizes, Instance, RbParams, derive_sizes, generate, mix64
-from .theory import critical_density, critical_tightness, expected_count
+from .theory import ae_count, critical_density, critical_tightness, expected_count
 
 # A grid builds every point's RbParams up front, so its size is bounded.
 MAX_GRID_POINTS = 10 ** 5
@@ -192,8 +193,7 @@ def _log_of_int(x: int) -> float:
 
 
 def _log_mean(values: Sequence[int]) -> float:
-    total = sum(values)
-    return _log_of_int(total) - math.log(len(values)) if total else -math.inf
+    return _log_of_int(sum(values)) - math.log(len(values))
 
 
 def _log_median(values: Sequence[int]) -> float:
@@ -201,8 +201,7 @@ def _log_median(values: Sequence[int]) -> float:
     mid = len(ordered) // 2
     if len(ordered) % 2:
         return _log_of_int(ordered[mid])
-    twice = ordered[mid - 1] + ordered[mid]
-    return _log_of_int(twice) - math.log(2.0) if twice else -math.inf
+    return _log_of_int(ordered[mid - 1] + ordered[mid]) - math.log(2.0)
 
 
 def sweep_tightness(config: SweepConfig,
@@ -286,16 +285,13 @@ def accuracy_table(point: RbParams, deltas: Sequence[float], *, instances: int =
                    method: str = "backtrack", jobs: int = 1) -> AccuracyRow:
     """Fraction of the point's instances whose exact count X lands strictly
     inside ((1-delta)*E, (1+delta)*E), for each delta; E is the mean count at
-    the point's effective tightness.  point.seed seeds the instances."""
-    for delta in deltas:
-        if not 0.0 < delta <= 1.0:
-            raise ValueError(f"delta must lie in (0, 1], got {delta}")
-    lead, mean, counts = _table_point(point, instances, method, jobs)
+    the point's effective tightness: ae_count's interval.  point.seed seeds
+    the instances."""
+    estimates = [ae_count(point, delta) for delta in deltas]
+    lead, _, counts = _table_point(point, instances, method, jobs)
     return AccuracyRow(*lead, coverage=tuple(
-        sum(1 for x in counts
-            if (1.0 - delta) * mean.expected < x < (1.0 + delta) * mean.expected)
-        / instances
-        for delta in deltas))
+        sum(1 for x in counts if est.interval_low < x < est.interval_high) / instances
+        for est in estimates))
 
 
 @dataclass(frozen=True)

@@ -66,7 +66,7 @@ def expected_count(n: int, d: int, m: int, p_eff: float) -> ExpectedCount:
         raise ValueError("need n >= 1, d >= 2, m >= 0")
     if not 0.0 <= p_eff < 1.0:
         raise ValueError("p_eff must lie in [0, 1)")
-    log_e = n * math.log(d) + (m * math.log1p(-p_eff) if m else 0.0)
+    log_e = n * math.log(d) + m * math.log1p(-p_eff)
     try:
         linear = math.exp(log_e)
     except OverflowError:
@@ -163,7 +163,7 @@ def ae_count(params: RbParams, delta: float, divisor: float = 2,
     else:
         predicted = PREDICT_NO
     low = (1.0 - delta) * linear if linear < math.inf else math.inf
-    high = (1.0 + delta) * linear if linear < math.inf else math.inf
+    high = (1.0 + delta) * linear
     log_low = log_e + (math.log1p(-delta) if delta < 1.0 else -math.inf)
     return Estimate(
         log_expected=log_e,
@@ -215,8 +215,6 @@ def pair_probabilities(similarity_number: int, n: int, k: int, d: int,
 
 def _log_sum_exp(values: list[float]) -> float:
     top = max(values)
-    if top == -math.inf:
-        return -math.inf
     return top + math.log(sum(math.exp(v - top) for v in values))
 
 
@@ -236,7 +234,7 @@ def conditional_expected_count(n: int, k: int, d: int, m: int, p_eff: float) -> 
         # every term has conditional probability 1; the sum telescopes to d^n
         return n * math.log(d)
     terms = []
-    log_d1 = math.log(d - 1) if d > 1 else 0.0
+    log_d1 = math.log(d - 1)
     for s_num in range(n + 1):
         cond = pair_probabilities(s_num, n, k, d, p_eff).conditional_per_constraint
         if cond <= 0.0:
@@ -244,7 +242,7 @@ def conditional_expected_count(n: int, k: int, d: int, m: int, p_eff: float) -> 
         terms.append(math.log(math.comb(n, s_num))
                      + (n - s_num) * log_d1
                      + m * math.log(cond))
-    return _log_sum_exp(terms) if terms else -math.inf
+    return _log_sum_exp(terms)
 
 
 def second_moment_ratio(n: int, k: int, d: int, m: int, p_eff: float) -> float:

@@ -6,6 +6,7 @@ import argparse
 import io
 import pathlib
 import sys
+import time
 
 import pytest
 
@@ -296,6 +297,35 @@ def test_tables_report_the_brute_cap_message(command, tmp_path, capsys):
                                     "-o", str(csv_path)], capsys)
     assert code == 2 and out == ""
     assert err.splitlines() == ["rbcount: error: 8^13 assignments exceeds cap 100000000"]
+    assert not csv_path.exists()
+
+
+# d = 64000, m = 221 and t = 2,048,000,000 nogoods per constraint at p = 0.5
+HUGE_POINT = ["-k", "2", "-n", "40", "-a", "3", "-r", "1.5"]
+NOGOOD_CAP_ERROR = ("rbcount: error: 221 constraints of 2048000000 nogoods exceed "
+                    "the cap of 100000000 nogoods")
+
+
+def test_gen_refuses_more_nogoods_than_the_cap(tmp_path, capsys):
+    out = tmp_path / "huge.rbcsp"
+    started = time.perf_counter()
+    code, stdout, err = run(["gen", *HUGE_POINT, "-p", "0.5", "-o", str(out)], capsys)
+    assert time.perf_counter() - started < 1.0
+    assert code == 2 and stdout == ""
+    assert err.splitlines() == [NOGOOD_CAP_ERROR]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [
+    ["sweep", "--start", "0.5", "--stop", "0.6", "--step", "0.1"],
+    ["accuracy", "-p", "0.5"],
+    ["compare", "-p", "0.5", "--jobs", "2"],
+], ids=["sweep", "accuracy", "compare-jobs-2"])
+def test_tables_refuse_more_nogoods_than_the_cap(command, tmp_path, capsys):
+    csv_path = tmp_path / "t.csv"
+    code, out, err = run(command + HUGE_POINT + ["-o", str(csv_path)], capsys)
+    assert code == 2 and out == ""
+    assert err.splitlines() == [NOGOOD_CAP_ERROR]  # no progress line
     assert not csv_path.exists()
 
 

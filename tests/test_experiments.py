@@ -282,12 +282,15 @@ def test_accuracy_coverage_grows_with_interval_width():
     assert again == row
 
 
-def test_accuracy_table_rejects_bad_delta():
+def test_accuracy_table_rejects_bad_delta(monkeypatch):
+    def no_instances(params):
+        raise AssertionError("an instance was generated")
+
+    monkeypatch.setattr(experiments, "generate", no_instances)  # ae_count checks first
     point = RbParams(2, 5, 0.8, 1.5, 0.2)
-    with pytest.raises(ValueError):
-        accuracy_table(point, [0.0])
-    with pytest.raises(ValueError):
-        accuracy_table(point, [1.5])
+    for delta in (0.0, -0.5, 1.5, math.nan):
+        with pytest.raises(ValueError, match=r"^delta must lie in \(0, 1\], got "):
+            accuracy_table(point, [0.5, delta])
 
 
 @pytest.mark.parametrize("table", [

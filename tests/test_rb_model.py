@@ -15,10 +15,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rbcount import rb_model
-from rbcount.rb_model import (LANE_CAP, MASK64, Constraint, DerivedSizes, Instance,
-                              InstanceFormatError, RbParams, _lane_words, derive_sizes,
-                              generate, mix64, read_instance, round_half_up,
-                              write_instance)
+from rbcount.rb_model import (DEFAULT_BRUTE_CAP, LANE_CAP, MASK64, CapExceeded, Constraint,
+                              DerivedSizes, Instance, InstanceFormatError, RbParams,
+                              _lane_words, _take, derive_sizes, generate, mix64,
+                              read_instance, round_half_up, write_instance)
 from rbcount.theory import theorem_applicability
 
 
@@ -126,26 +126,28 @@ def test_lane_words_fill_the_cap_and_give_stream_states():
     assert _lane_words([], 0, 5) == _lane_words(states, 0, 0) == []
 
 
+def draw_distinct(words, bound, count):
+    """count distinct draws below bound: each the top bits of as many whole
+    words as bound needs, first word highest, rejected when it is not below
+    bound or repeats."""
+    bits = (bound - 1).bit_length()
+    width = -(-bits // 64)
+    seen = set()
+    while len(seen) < count:
+        u = 0
+        for _ in range(width):
+            u = (u << 64) | next(words)
+        u >>= width * 64 - bits
+        if u < bound:
+            seen.add(u)
+    return seen
+
+
 def reference_generate(params):
     """generate from its definition: word i of constraint c's stream is
-    mix64(seed, c, i), and a draw below bound is the top bits of as many whole
-    words as bound needs, rejected when it is not below bound or repeats."""
+    mix64(seed, c, i), and a draw below bound is draw_distinct's."""
     sizes = derive_sizes(params)
     k, d = params.k, sizes.d
-
-    def draw_distinct(words, bound, count):
-        bits = (bound - 1).bit_length()
-        width = -(-bits // 64)
-        seen = set()
-        while len(seen) < count:
-            u = 0
-            for _ in range(width):
-                u = (u << 64) | next(words)
-            u >>= width * 64 - bits
-            if u < bound:
-                seen.add(u)
-        return seen
-
     constraints = []
     for c in range(sizes.m):
         words = (mix64(params.seed, c, i) for i in itertools.count())
@@ -218,6 +220,45 @@ def test_generate_matches_the_reference_wherever_the_batch_ends(
     # generate sums _expected_draws over its two bounds: the batch is ceil(expected)
     with mock.patch.object(rb_model, "_expected_draws", lambda bound, count: expected / 2):
         assert generate(params) == reference_generate(params)
+
+
+@pytest.mark.parametrize("bound", [
+    2 ** 64 - 1, 2 ** 64,  # 64 bits: one word, shift 0
+    2 ** 64 + 1,           # 65 bits: two words, shift 63
+    2 ** 128,              # 128 bits: two words, shift 0
+    2 ** 128 + 1,          # 129 bits: three words, shift 63
+])
+def test_take_matches_the_reference_where_the_draw_width_changes(bound):
+    stream = [mix64(2024, i) for i in range(200)]
+    words, reference = iter(stream), iter(stream)
+    assert _take(words, bound, 6) == draw_distinct(reference, bound, 6)
+    assert next(words) == next(reference)  # both stop after the last word used
+
+
+@pytest.mark.parametrize("params,sizes", [
+    (RbParams(2, 40, 3.0, 1.5, 0.5), "221 constraints of 2048000000 nogoods"),  # d=64000
+    (RbParams(40, 40, 3.0, 1.5, 0.5), "221 constraints of at least 2^637 nogoods"),
+    (RbParams(2, 10 ** 70, 0.01, 1.0, 0.5), "at least 2^239 constraints of 13 nogoods"),
+], ids=["d64000", "huge-t", "huge-m"])
+def test_generate_refuses_more_nogoods_than_the_cap_before_any_draw(
+        params, sizes, monkeypatch):
+    def no_draws(*args):
+        raise AssertionError("generate drew words")
+
+    monkeypatch.setattr(rb_model, "_lane_words", no_draws)
+    with pytest.raises(CapExceeded) as info:
+        generate(params)
+    assert str(info.value) == f"{sizes} exceed the cap of {DEFAULT_BRUTE_CAP} nogoods"
+    assert len(str(info.value)) < 200
+
+
+def test_generate_runs_up_to_the_nogood_cap(monkeypatch):
+    params = RbParams(2, 7, 0.8, 1.7, 0.45, seed=3)  # d=5 m=23 t=11
+    monkeypatch.setattr(rb_model, "DEFAULT_BRUTE_CAP", 23 * 11)
+    assert generate(params) == reference_generate(params)
+    monkeypatch.setattr(rb_model, "DEFAULT_BRUTE_CAP", 23 * 11 - 1)
+    with pytest.raises(CapExceeded, match="^23 constraints of 11 nogoods exceed the cap of 252 "):
+        generate(params)
 
 
 def test_generate_is_deterministic():
