@@ -14,13 +14,14 @@ import sys
 
 from . import __version__
 from .cnf_encode import encode_direct, write_dimacs
-from .exact_count import CapExceeded, check_decision_divisor, decide_from_count
+from .exact_count import check_decision_divisor, decide_from_count
 from .experiments import (COMPARISON_HEADER, METHODS, SweepConfig, accuracy_header,
                           accuracy_table, count_instance, critical_value,
                           crossing_point, emit_csv, emit_svg_plot,
                           estimator_comparison, sweep_header, sweep_manifest,
                           sweep_tightness, write_manifest)
-from .rb_model import RbParams, derive_sizes, generate, read_instance, write_instance
+from .rb_model import (CapExceeded, RbParams, derive_sizes, generate, read_instance,
+                       write_instance)
 from .theory import (DEFAULT_CRITICAL_BAND, ae_count, critical_density, critical_tightness,
                      theorem_applicability)
 

@@ -12,8 +12,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, TextIO
 
-from .exact_count import DEFAULT_BRUTE_CAP, CapExceeded
-from .rb_model import Instance, int_token
+from .rb_model import Instance, check_cap, int_token
 
 
 class DimacsError(ValueError):
@@ -49,16 +48,12 @@ def encode_direct(instance: Instance) -> Cnf:
     Clause order is deterministic: at-least-one per variable, then pairwise
     at-most-one per variable, then one clause per nogood with nogoods in
     sorted order.  The instance must be valid, as read_instance and generate
-    return it: the CNF is built unchecked, and write_dimacs writes it as it
-    stands.  Raises CapExceeded, before building anything, when the encoding
-    has more than DEFAULT_BRUTE_CAP clauses.
+    return it: the CNF is built unchecked, once check_cap passes its clauses,
+    and write_dimacs writes it as it stands.
     """
     n, d = instance.n, instance.d
-    size = n + n * (d * (d - 1) // 2) + sum(len(c.nogoods) for c in instance.constraints)
-    if size > DEFAULT_BRUTE_CAP:
-        shown = size if size < 10 ** 60 else f"at least 2^{size.bit_length() - 1}"
-        raise CapExceeded(f"direct encoding has {shown} clauses, "
-                          f"more than the cap {DEFAULT_BRUTE_CAP}")
+    check_cap(n + n * (d * (d - 1) // 2) + sum(len(c.nogoods) for c in instance.constraints),
+              "clauses")
     # neg[i][v] = -boolean_var(i, v, d), one int shared by every clause that holds it
     neg = [[-boolean_var(i, v, d) for v in range(d)] for i in range(n)]
     clauses: list[tuple[int, ...]] = [tuple(boolean_var(i, v, d) for v in range(d))
@@ -133,17 +128,16 @@ def read_dimacs(source: TextIO) -> Cnf:
     return cnf
 
 
-def count_models(cnf: Cnf, cap: int = 1 << 24) -> int:
-    """Count satisfying boolean assignments by depth-first enumeration.
+def count_models(cnf: Cnf) -> int:
+    """Count satisfying boolean assignments by depth-first enumeration, once
+    check_cap passes the 2^num_vars of them.
 
     Assigns variables in numeric order and fails a branch as soon as some
     clause has all its literals false; once past the highest variable any
-    clause mentions, the remaining variables are free.  Requires
-    2^num_vars <= cap.  Independent of the CSP counters, so it serves as a
-    cross-check for encode_direct.
+    clause mentions, the remaining variables are free.  Independent of the
+    CSP counters, so it serves as a cross-check for encode_direct.
     """
-    if 2 ** cnf.num_vars > cap:
-        raise CapExceeded(f"2^{cnf.num_vars} boolean assignments exceeds cap {cap}")
+    check_cap(2 ** cnf.num_vars, "boolean assignments")
     nv = cnf.num_vars
     # Clauses keyed by their highest variable; checked once it gets a value.
     by_max: list[list[tuple[int, ...]]] = [[] for _ in range(nv + 1)]

@@ -19,7 +19,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .rb_model import DEFAULT_BRUTE_CAP, CapExceeded, Instance
+from .rb_model import Instance, check_cap
 
 
 @dataclass(frozen=True)
@@ -35,22 +35,14 @@ class CountResult:
     memo_states: int = 0
 
 
-def check_brute_cap(d: int, n: int, cap: int) -> None:
-    """Raise CapExceeded when count_brute would enumerate more than cap of
-    the d^n assignments; they depend on d and n alone."""
-    if d ** n > cap:
-        raise CapExceeded(f"{d}^{n} assignments exceeds cap {cap}")
-
-
-def count_brute(instance: Instance, cap: int = DEFAULT_BRUTE_CAP) -> CountResult:
-    """Count solutions by enumerating all d^n assignments.
-
-    Raises CapExceeded when d^n > cap.  Deliberately unclever so it can
-    serve as an independent oracle for count_backtrack.
+def count_brute(instance: Instance) -> CountResult:
+    """Count solutions by enumerating all d^n assignments, once check_cap
+    passes them.  Deliberately unclever so it can serve as an independent
+    oracle for count_backtrack.
     """
     n, d = instance.n, instance.d
-    check_brute_cap(d, n, cap)
     space = d ** n
+    check_cap(space, "assignments")
     checks = [(c.scope, c.nogoods) for c in instance.constraints]
     count = 0
     for assignment in itertools.product(range(d), repeat=n):
@@ -107,8 +99,9 @@ def count_backtrack(instance: Instance) -> CountResult:
     full = (1 << d) - 1
     ones = (1 << n * d) - 1
     # The lowest and highest bit of every field: (s - low) & ~s & high is
-    # nonzero exactly when some field of s is empty.
-    low = sum(1 << j * d for j in range(n))
+    # nonzero exactly when some field of s is empty.  ones = full * low, as
+    # 2^(nd) - 1 = (2^d - 1)(1 + 2^d + ... + 2^((n-1)d)); a sum would be quadratic in n.
+    low = ones // full
     high = low << (d - 1)
 
     # cut[j][v]: the bits of deeper fields that binary constraints firing at

@@ -7,9 +7,6 @@ when more than one worker can be used, and yields each point's counts in
 order; ``emit_csv`` writes the dataclass rows.  Instance seeds mix the point's
 seed with the (point, index) pair as the generator mixes its draws, so results
 are reproducible and independent of worker count.
-Counting by "brute" is capped at DEFAULT_BRUTE_CAP assignments: a sweep or
-table beyond it raises CapExceeded before it generates any instance.  So is
-generation, at DEFAULT_BRUTE_CAP nogoods: generate raises it before any draw.
 """
 
 from __future__ import annotations
@@ -25,10 +22,10 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence, TextIO
 
-from .exact_count import (DEFAULT_BRUTE_CAP, CountResult, check_brute_cap,
-                          check_decision_divisor, count_backtrack, count_brute,
+from .exact_count import (CountResult, check_decision_divisor, count_backtrack, count_brute,
                           decide_from_count)
-from .rb_model import DerivedSizes, Instance, RbParams, derive_sizes, generate, mix64
+from .rb_model import (DerivedSizes, Instance, RbParams, check_cap, derive_sizes, generate,
+                       mix64)
 from .theory import ae_count, critical_density, critical_tightness, expected_count
 
 # A grid builds every point's RbParams up front, so its size is bounded.
@@ -131,8 +128,7 @@ METHODS = ("backtrack", "brute")  # the methods count_instance accepts
 
 
 def count_instance(instance: Instance, method: str) -> CountResult:
-    """Count solutions by "backtrack", or by "brute" over at most
-    DEFAULT_BRUTE_CAP assignments."""
+    """Count solutions by "backtrack" or "brute"."""
     if method == "backtrack":
         return count_backtrack(instance)
     if method == "brute":
@@ -144,7 +140,7 @@ def check_method_cap(method: str, d: int, n: int) -> None:
     """Raise CapExceeded when count_instance by method would refuse every
     instance with d values and n variables: only "brute" counting is capped."""
     if method == "brute":
-        check_brute_cap(d, n, DEFAULT_BRUTE_CAP)
+        check_cap(d ** n, "assignments")
 
 
 def _generate_and_count(params: RbParams, method: str) -> CountResult:
@@ -209,8 +205,7 @@ def sweep_tightness(config: SweepConfig,
     """Run the grid, counting config.instances_per_point instances per point.
 
     Rows come back in grid order regardless of config.jobs; identical configs
-    give identical rows (wall_ms aside).  A sweep beyond the brute-force cap
-    raises CapExceeded at its first point: d and n are fixed along either axis.
+    give identical rows (wall_ms aside).
     """
     rows = []
     for point, sizes, done, wall_ms in _count_points(
@@ -258,7 +253,7 @@ def accuracy_header(deltas: Sequence[float]) -> tuple[str, ...]:
 def _table_point(point: RbParams, instances: int, method: str, jobs: int) -> tuple:
     """The row's leading cells (k, n, alpha, r, p, p_eff, instances), the
     closed-form ExpectedCount at p_eff and the exact counts of the point's
-    instances; a point beyond the brute-force cap raises CapExceeded."""
+    instances."""
     [(_, sizes, results, _)] = _count_points([point], instances, method, jobs)
     lead = (point.k, point.n, point.alpha, point.r, point.p, sizes.p_eff, instances)
     return (lead, expected_count(point.n, sizes.d, sizes.m, sizes.p_eff),

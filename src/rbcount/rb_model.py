@@ -32,13 +32,21 @@ class InstanceFormatError(ValueError):
     """Raised when instance text cannot be parsed or fails validation."""
 
 
-# The one budget of a job too large to finish: assignments a brute-force count
-# enumerates, clauses an encoding builds, nogoods generation draws.
+# The one budget of a job too large to finish: nogoods generation draws, clauses
+# an encoding builds, assignments a brute-force or CNF model count enumerates.
 DEFAULT_BRUTE_CAP = 10 ** 8
 
 
 class CapExceeded(RuntimeError):
-    """The job is larger than its configured cap."""
+    """The job is larger than DEFAULT_BRUTE_CAP."""
+
+
+def check_cap(size: int, unit: str) -> None:
+    """Raise CapExceeded when a job of size units exceeds DEFAULT_BRUTE_CAP, in
+    one short line: a size of 10^60 or more reads "at least 2^x"."""
+    if size > DEFAULT_BRUTE_CAP:
+        shown = str(size) if size < 10 ** 60 else f"at least 2^{size.bit_length() - 1}"
+        raise CapExceeded(f"{shown} {unit} exceed the cap of {DEFAULT_BRUTE_CAP}")
 
 
 # ---------------------------------------------------------------------------
@@ -299,15 +307,10 @@ def _take(words: Iterator[int], bound: int, count: int) -> set[int]:
     return seen
 
 
-def _shown(size: int) -> str:
-    """size in decimal, or as "at least 2^x" from 10^60 on: one short line."""
-    return str(size) if size < 10 ** 60 else f"at least 2^{size.bit_length() - 1}"
-
-
 def generate(params: RbParams) -> Instance:
     """Generate an instance: m uniform scopes, each with t_nogoods distinct
-    forbidden tuples drawn uniformly without replacement.  Raises CapExceeded,
-    before any draw, when the m * t_nogoods nogoods exceed DEFAULT_BRUTE_CAP.
+    forbidden tuples drawn uniformly without replacement, once check_cap passes
+    the m * t_nogoods nogoods.
 
     Constraint c draws its scope, then its nogoods, from stream c, whose word i
     is mix64(seed, c, i).  As mix64 absorbs words in order, that is one round,
@@ -325,9 +328,7 @@ def generate(params: RbParams) -> Instance:
     """
     sizes = derive_sizes(params)
     k, n, d, m, t = params.k, params.n, sizes.d, sizes.m, sizes.t_nogoods
-    if m * t > DEFAULT_BRUTE_CAP:
-        raise CapExceeded(f"{_shown(m)} constraints of {_shown(t)} nogoods exceed "
-                          f"the cap of {DEFAULT_BRUTE_CAP} nogoods")
+    check_cap(m * t, "nogoods")
     tuples = d ** k
     seed_state = mix64(params.seed)
     decoded = _Memo(lambda index: _decode_tuple(index, d, k))

@@ -13,10 +13,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rbcount.cnf_encode import count_models, encode_direct
-from rbcount.exact_count import (CapExceeded, count_backtrack, count_brute,
-                                 decide_from_count, int_nth_root, threshold_ceiling)
+from rbcount.exact_count import (count_backtrack, count_brute, decide_from_count,
+                                 int_nth_root, threshold_ceiling)
 from rbcount.experiments import SweepConfig, grid_values, instance_seed
-from rbcount.rb_model import Constraint, Instance, RbParams, generate
+from rbcount.rb_model import CapExceeded, Constraint, Instance, RbParams, generate
 from rbcount.theory import ae_count, critical_density, critical_tightness
 
 from test_rb_model import params_for
@@ -68,9 +68,9 @@ def test_forced_single_solution():
 
 
 def test_brute_cap():
-    inst = Instance(10, 4, ())
+    inst = Instance(9, 10, ())  # 10^9 assignments
     with pytest.raises(CapExceeded):
-        count_brute(inst, cap=10 ** 5)
+        count_brute(inst)
 
 
 # === hand-built edge cases ===

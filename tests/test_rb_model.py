@@ -236,9 +236,9 @@ def test_take_matches_the_reference_where_the_draw_width_changes(bound):
 
 
 @pytest.mark.parametrize("params,sizes", [
-    (RbParams(2, 40, 3.0, 1.5, 0.5), "221 constraints of 2048000000 nogoods"),  # d=64000
-    (RbParams(40, 40, 3.0, 1.5, 0.5), "221 constraints of at least 2^637 nogoods"),
-    (RbParams(2, 10 ** 70, 0.01, 1.0, 0.5), "at least 2^239 constraints of 13 nogoods"),
+    (RbParams(2, 40, 3.0, 1.5, 0.5), "452608000000"),  # d=64000 m=221 t=2048000000
+    (RbParams(40, 40, 3.0, 1.5, 0.5), "at least 2^645"),  # m=221 t=at least 2^637
+    (RbParams(2, 10 ** 70, 0.01, 1.0, 0.5), "at least 2^243"),  # m=at least 2^239 t=13
 ], ids=["d64000", "huge-t", "huge-m"])
 def test_generate_refuses_more_nogoods_than_the_cap_before_any_draw(
         params, sizes, monkeypatch):
@@ -248,7 +248,7 @@ def test_generate_refuses_more_nogoods_than_the_cap_before_any_draw(
     monkeypatch.setattr(rb_model, "_lane_words", no_draws)
     with pytest.raises(CapExceeded) as info:
         generate(params)
-    assert str(info.value) == f"{sizes} exceed the cap of {DEFAULT_BRUTE_CAP} nogoods"
+    assert str(info.value) == f"{sizes} nogoods exceed the cap of {DEFAULT_BRUTE_CAP}"
     assert len(str(info.value)) < 200
 
 
@@ -257,7 +257,7 @@ def test_generate_runs_up_to_the_nogood_cap(monkeypatch):
     monkeypatch.setattr(rb_model, "DEFAULT_BRUTE_CAP", 23 * 11)
     assert generate(params) == reference_generate(params)
     monkeypatch.setattr(rb_model, "DEFAULT_BRUTE_CAP", 23 * 11 - 1)
-    with pytest.raises(CapExceeded, match="^23 constraints of 11 nogoods exceed the cap of 252 "):
+    with pytest.raises(CapExceeded, match="^253 nogoods exceed the cap of 252$"):
         generate(params)
 
 
