@@ -191,6 +191,34 @@ WALK_CASES = {
     "layer-empties-early": (build(6, 2, [
         ((0, 1), [(0, 0), (0, 1), (1, 0), (1, 1)]), ((0, 2), [(0, 0)]),
         ((2, 3), [(1, 1)]), ((3, 4), [(0, 0)]), ((4, 5), [(0, 1)])]), 0, 3, 1),
+    # The order is 1, 2, 0, 3.  Both tables fire at depth 1 and read the
+    # value of the variable branched there, so each value has its own mask.
+    "wide-table-reads-the-branching-field": (build(4, 3, [
+        ((0, 1, 2), [(0, 0, 0), (0, 1, 1), (0, 2, 2), (1, 1, 0)]),
+        ((1, 2, 3), [(0, 0, 1), (2, 1, 1), (1, 2, 0)])]), 61, 13, 4),
+    # Both values of variable 0 leave variable 1 the value 1, so they reach
+    # one key of depth 1, but value 0 empties variable 3, final at depth 0.
+    # The last depth, 1, has one final variable, 2.
+    "two-moves-reach-a-key-one-empties-a-final": (build(4, 2, [
+        ((0, 3), [(0, 0), (0, 1)]), ((0, 1), [(0, 0), (1, 0)]), ((1, 2), [(1, 1)])]), 2, 4, 2),
+    # As above, but value 0 leaves variable 1 the value 0: the only move to
+    # that key empties variable 3, so the key is not a memo state.
+    "a-key-reached-only-with-an-empty-final": (build(4, 2, [
+        ((0, 3), [(0, 0), (0, 1)]), ((0, 1), [(0, 1), (1, 0)]), ((1, 2), [(1, 1)])]), 2, 4, 2),
+    # The last depth, 1, has two final variables, 2 and 3.  A last depth
+    # always has one at least: its deepest neighbour.
+    "last-depth-with-two-finals": (build(5, 2, [
+        ((0, 1), [(0, 0)]), ((0, 4), [(1, 1)]), ((1, 2), [(1, 1)]), ((1, 3), [(0, 1)]),
+        ((0, 2), [(1, 0)])]), 5, 6, 3),
+    # The order is 1, 2, 0, 3, 4.  Keys of depth 1 that agree on variable 2
+    # differ on variables 0 and 3, so they share their moves.
+    "keys-share-the-moves-of-their-group": (build(5, 3, [
+        ((0, 1), [(0, 0)]), ((0, 2), [(0, 1), (1, 2)]), ((1, 2), [(2, 2)]),
+        ((2, 3), [(0, 0)]), ((1, 4), [(1, 1)])]), 111, 12, 4),
+    # Tables fire at depths 2 and 3; keys that agree on the fields a table
+    # reads differ elsewhere, so they share its lookups.
+    "keys-share-the-wide-lookups-of-their-group": (build(6, 2, [
+        ((1, 3, 5), [(0, 1, 0), (1, 1, 1)]), ((0, 2, 4), [(1, 1, 1), (0, 0, 1)])]), 36, 19, 9),
 }
 
 
@@ -291,6 +319,44 @@ def test_search_work_is_pinned():
                 lines.append(f"{res.count} {res.nodes_visited} {res.memo_states}\n")
     assert len(lines) == 117
     assert hashlib.sha256("".join(lines).encode()).hexdigest() == SEARCH_DIGEST
+
+
+def random_family(seed, size):
+    """size instances with n <= 12, d <= 5 and one arity in 2..4 each; some
+    constraints have no nogood and some every tuple but one."""
+    rng = random.Random(seed)
+    for _ in range(size):
+        k = rng.randint(2, 4)
+        n = rng.randint(k, 12)
+        d = rng.randint(2, 5)
+        tuples = list(itertools.product(range(d), repeat=k))
+        constraints = []
+        for _ in range(rng.randint(0, 2 * n)):
+            scope = sorted(rng.sample(range(n), k))
+            shape = rng.random()
+            if shape < 0.1:
+                nogoods = []
+            elif shape < 0.2:
+                nogoods = tuples[:]
+                nogoods.remove(rng.choice(tuples))
+            else:
+                nogoods = rng.sample(tuples, rng.randint(1, max(1, len(tuples) // 3)))
+            constraints.append((scope, nogoods))
+        yield build(n, d, constraints)
+
+
+FAMILY_DIGEST = "810663fd2813048bfb0f6bf1e6891b2bf36c645a028baafcfc32ad052d8227b7"
+
+
+def test_search_work_is_pinned_beyond_generated_instances():
+    """As above, over 300 seeded random instances that the generator cannot
+    produce: empty and nearly full constraints, arities 2 to 4."""
+    lines = []
+    for inst in random_family(20, 300):
+        res = count_backtrack(inst)
+        lines.append(f"{res.count} {res.nodes_visited} {res.memo_states}\n")
+    assert sum(line.startswith("0 ") for line in lines) == 63
+    assert hashlib.sha256("".join(lines).encode()).hexdigest() == FAMILY_DIGEST
 
 
 # === decisions ===
