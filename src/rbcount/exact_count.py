@@ -11,7 +11,8 @@ variable order, walked one depth at a time.  Each depth holds its distinct
 search keys - the domains of the variables still in play - with the number
 of ways of reaching each, so states with equal keys are expanded once (the
 component-caching idea of #SAT solvers such as Cachet and sharpSAT, walked
-breadth first as a BDD/ZDD is built).
+breadth first as a BDD/ZDD is built).  Keys that agree on the fields a
+depth's moves read form a group, and each group's moves are built once.
 """
 
 from __future__ import annotations
@@ -85,6 +86,14 @@ def count_backtrack(instance: Instance) -> CountResult:
     branching depths in order, holding each distinct key of a depth once with
     the number of ways of reaching it, as #SAT component caching does.  It
     does not recurse, and it keeps only the current and the next depth.
+
+    At each depth, the keys are grouped on the field being branched and the
+    fields its wide tables read.  A group's moves - one AND-mask per value,
+    values with equal masks merged into one weighted move - are built once,
+    so a key then costs one AND, its final fields' popcounts and one dict
+    add per move.  A child may have an empty field or 0 ways; the next depth
+    drops it when it reads the key, once per key rather than once per move.
+    The last depth builds no keys: it adds up each key's value.
 
     nodes_visited is the number of value assignments tried plus one for the
     root; memo_states is the number of distinct keys held across the depths,
@@ -166,74 +175,113 @@ def count_backtrack(instance: Instance) -> CountResult:
     # layer maps each distinct key reached at a branching depth to the number
     # of ways of reaching it, with final fields' popcounts multiplied in.  A
     # key's completions depend on the key alone, so a depth-first search
-    # memoised on the key would cache exactly these keys.
+    # memoised on the key would cache exactly these keys.  A key may arrive
+    # with an empty field or with 0 ways; the depth that reads it drops it
+    # and does not count it.  That check is enough: a child loses only field
+    # j, which holds one bit, final fields, where an empty one gives 0 ways,
+    # and wide-table sources, which are assigned.
     layer = {ones & key_mask[branching[0]]: 1}
     nodes, states, total = 1, 0, 0
     for j, nxt in zip(branching, branching[1:] + [n]):
-        states += len(layer)
         shift, fin, checks = j * d, finals[j], tables[j]
         # A key holds only the fields of key_mask[j]; the rest are zero in it.
         live_low = low & key_mask[j]
         live_high = high & key_mask[j]
-        next_mask = key_mask[nxt] if nxt < n else 0
-        # choice[v]: the AND-mask for giving depth j the value v; it narrows
-        # field j to one bit and applies cut[j][v].  Field j steers a later key
-        # only as a source of a wide constraint that fires later, and then
-        # every key_mask up to that depth, nxt's among them, holds it.  If it
-        # steers none and no wide table fires here, the child drops field j,
-        # so values with one cut row leave one child: their mask leaves field
-        # j as it is, and they become one move weighted by their number.
-        if checks or next_mask >> shift & full:
-            choice = [ones & ~(full << shift | c) | 1 << shift + v for v, c in enumerate(cut[j])]
-        else:
-            choice = [ones & ~c for c in cut[j]]
-        moves: dict[int, list[tuple[int, int]]] = {}  # field j -> [(mask, weight)]
-        # The wide tables firing here clear only deeper fields, so they apply
-        # in any order, as one mask keyed on the fields they all read.  Equal
-        # masks share one int, so an entry costs only its key.
         union = 0
         for proj, _ in checks:
             union |= proj
+        # Keys that agree on field j and on the fields the wide tables read
+        # make the same moves, so each group's moves are built once.
+        groups: dict[int, list[tuple[int, int]]] = {}
+        by = full << shift | union
+        for key, ways in layer.items():
+            if ways and not (key - live_low) & ~key & live_high:
+                g = key & by
+                group = groups.get(g)
+                if group is None:
+                    groups[g] = [(key, ways)]
+                else:
+                    group.append((key, ways))
+                states += 1
+        layer.clear()  # the groups hold its keys; the dict would only add memory
+        if not groups:
+            break
+        next_mask = key_mask[nxt] if nxt < n else 0
+        # A move keeps the fields of the next key and the final fields, whose
+        # popcounts are taken before the next key drops them.
+        keep = next_mask
+        for f in fin:
+            keep |= full << f
+        # choice[v]: the AND-mask for giving depth j the value v; it narrows
+        # field j to one bit and applies cut[j][v].  Values whose masks agree
+        # on the kept fields merge into one move weighted by their number.
+        choice = [keep & (ones & ~(full << shift | c) | 1 << shift + v)
+                  for v, c in enumerate(cut[j])]
+        # The wide tables firing here clear only deeper fields, so they apply
+        # in any order, as one mask keyed on the fields they all read, cached
+        # for the depth.
         wide: dict[int, int] = {}
-        interned: dict[int, int] = {}
         out: dict[int, int] = {}
-        for key, ways_in in layer.items():
-            field = key >> shift & full
-            nodes += field.bit_count()
-            move = moves.get(field)
-            if move is None:
-                shared: dict[int, int] = {}
-                rest = field
-                while rest:
-                    bit = rest & -rest
-                    rest ^= bit
-                    mask = choice[bit.bit_length() - 1]
-                    shared[mask] = shared.get(mask, 0) + 1
-                move = moves[field] = list(shared.items())
-            for mask, w in move:
-                s = key & mask
+        while groups:
+            g, group = groups.popitem()  # freed as the next depth's keys grow
+            field = g >> shift & full
+            nodes += field.bit_count() * len(group)
+            sources = g & union & ~(full << shift)
+            shared: dict[int, int] = {}
+            rest = field
+            while rest:
+                bit = rest & -rest
+                rest ^= bit
+                mask = choice[bit.bit_length() - 1]
                 if checks:
-                    u = s & union
+                    u = sources | bit << shift
                     m = wide.get(u)
                     if m is None:
                         m = ones
                         for proj, table in checks:
                             m &= table.get(u & proj, ones)
-                        m = wide[u] = interned.setdefault(m, m)
-                    s &= m
-                if (s - live_low) & ~s & live_high:
-                    continue
-                ways = ways_in * w
-                for f in fin:
-                    ways *= (s >> f & full).bit_count()
-                if nxt < n:
-                    s &= next_mask
-                    out[s] = out.get(s, 0) + ways
-                else:
-                    total += ways
+                        wide[u] = m
+                    mask &= m
+                shared[mask] = shared.get(mask, 0) + 1
+            moves = list(shared.items())
+            # After that, a key costs one AND per move, the final fields'
+            # popcounts and, before the last depth, one dict add.
+            if nxt == n:
+                # At the last depth a key holds field j, the wide tables'
+                # sources and the final fields, so the popcounts' product is 0
+                # exactly when a move empties a field: no key is built, and
+                # only the value is left.
+                for key, ways_in in group:
+                    sub = 0
+                    for mask, w in moves:
+                        s = key & mask
+                        for f in fin:
+                            w *= (s >> f & full).bit_count()
+                        sub += w
+                    total += ways_in * sub
+            elif not fin:
+                for key, ways_in in group:
+                    for mask, w in moves:
+                        s = key & mask
+                        out[s] = out.get(s, 0) + ways_in * w
+            elif len(fin) == 1:
+                f = fin[0]
+                for key, ways_in in group:
+                    for mask, w in moves:
+                        s = key & mask
+                        ways = ways_in * w * (s >> f & full).bit_count()
+                        s &= next_mask
+                        out[s] = out.get(s, 0) + ways
+            else:
+                for key, ways_in in group:
+                    for mask, w in moves:
+                        s = key & mask
+                        ways = ways_in * w
+                        for f in fin:
+                            ways *= (s >> f & full).bit_count()
+                        s &= next_mask
+                        out[s] = out.get(s, 0) + ways
         layer = out
-        if not layer:
-            break
     isolated = last_nb.count(-1)
     return CountResult(count=d ** isolated * total, nodes_visited=nodes,
                        method="backtrack", memo_states=states)
