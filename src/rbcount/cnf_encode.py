@@ -137,7 +137,7 @@ def count_models(cnf: Cnf) -> int:
     clause mentions, the remaining variables are free.  Independent of the
     CSP counters, so it serves as a cross-check for encode_direct.
     """
-    check_cap(2 ** cnf.num_vars, "boolean assignments")
+    check_cap(2, "boolean assignments", cnf.num_vars)
     nv = cnf.num_vars
     # Clauses keyed by their highest variable; checked once it gets a value.
     by_max: list[list[tuple[int, ...]]] = [[] for _ in range(nv + 1)]

@@ -42,8 +42,8 @@ def count_brute(instance: Instance) -> CountResult:
     oracle for count_backtrack.
     """
     n, d = instance.n, instance.d
+    check_cap(d, "assignments", n)
     space = d ** n
-    check_cap(space, "assignments")
     checks = [(c.scope, c.nogoods) for c in instance.constraints]
     count = 0
     for assignment in itertools.product(range(d), repeat=n):

@@ -140,7 +140,7 @@ def check_method_cap(method: str, d: int, n: int) -> None:
     """Raise CapExceeded when count_instance by method would refuse every
     instance with d values and n variables: only "brute" counting is capped."""
     if method == "brute":
-        check_cap(d ** n, "assignments")
+        check_cap(d, "assignments", n)
 
 
 def _generate_and_count(params: RbParams, method: str) -> CountResult:

@@ -41,12 +41,25 @@ class CapExceeded(RuntimeError):
     """The job is larger than DEFAULT_BRUTE_CAP."""
 
 
-def check_cap(size: int, unit: str) -> None:
-    """Raise CapExceeded when a job of size units exceeds DEFAULT_BRUTE_CAP, in
-    one short line: a size of 10^60 or more reads "at least 2^x"."""
-    if size > DEFAULT_BRUTE_CAP:
+# A power of more bits than this is sized from its exponent alone.
+_EXACT_BITS = 1 << 16
+
+
+def check_cap(size: int, unit: str, exponent: int = 1) -> None:
+    """Raise CapExceeded when a job of size ** exponent units exceeds
+    DEFAULT_BRUTE_CAP, in one short line: a job of 10^60 units or more reads
+    "at least 2^x".  When exponent * floor(log2 size), a lower bound on the
+    job's log2, exceeds _EXACT_BITS, the power is not built and x is that
+    bound, so a huge d^n or 2^n is refused at once."""
+    low = exponent * (size.bit_length() - 1)
+    if low > _EXACT_BITS:
+        shown = f"at least 2^{low}"
+    else:
+        size **= exponent
+        if size <= DEFAULT_BRUTE_CAP:
+            return
         shown = str(size) if size < 10 ** 60 else f"at least 2^{size.bit_length() - 1}"
-        raise CapExceeded(f"{shown} {unit} exceed the cap of {DEFAULT_BRUTE_CAP}")
+    raise CapExceeded(f"{shown} {unit} exceed the cap of {DEFAULT_BRUTE_CAP}")
 
 
 # ---------------------------------------------------------------------------

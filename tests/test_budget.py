@@ -4,12 +4,18 @@ starts any of the work."""
 
 from __future__ import annotations
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
 
+import rbcount
 from rbcount import cnf_encode, experiments, rb_model
 from rbcount.cnf_encode import Cnf, count_models, encode_direct
 from rbcount.experiments import SweepConfig, count_instance, sweep_tightness
-from rbcount.rb_model import CapExceeded, Instance, RbParams, generate
+from rbcount.rb_model import CapExceeded, Instance, RbParams, check_cap, generate
 
 
 def _never(what):
@@ -63,3 +69,56 @@ def test_every_budget_refuses_in_one_line_before_any_work(job, message, monkeypa
     with pytest.raises(CapExceeded) as info:
         job(monkeypatch)
     assert str(info.value) == message
+
+
+HUGE_N = 10 ** 30
+
+
+def _huge_count_brute(monkeypatch):
+    count_instance(Instance(HUGE_N, 2, _Untouched()), "brute")
+
+
+def _huge_count_models(monkeypatch):
+    count_models(Cnf(HUGE_N, _Untouched()))
+
+
+@pytest.mark.parametrize("job,unit", [
+    (_huge_count_brute, "assignments"),
+    (_huge_count_models, "boolean assignments"),
+], ids=["count-brute", "count-models"])
+def test_a_huge_power_is_refused_before_it_is_built(job, unit, monkeypatch):
+    with pytest.raises(CapExceeded) as info:
+        job(monkeypatch)
+    assert str(info.value) == f"at least 2^{HUGE_N} {unit} exceed the cap of 100000000"
+
+
+def test_the_bound_on_a_power_names_a_lower_bound_past_the_exact_path():
+    # 3^e is built while e * floor(log2 3) = e stays within _EXACT_BITS; past
+    # that the message names 2^e, which 3^e exceeds.
+    bits = rb_model._EXACT_BITS
+    exact = (3 ** bits).bit_length() - 1
+    for exponent, shown in [(bits, exact), (bits + 1, bits + 1), (10 ** 6, 10 ** 6)]:
+        with pytest.raises(CapExceeded) as info:
+            check_cap(3, "assignments", exponent)
+        assert str(info.value) == f"at least 2^{shown} assignments exceed the cap of 100000000"
+    check_cap(10, "assignments", 8)  # 10^8 is the cap itself
+    with pytest.raises(CapExceeded, match="^1000000000 assignments"):
+        check_cap(10, "assignments", 9)
+
+
+@pytest.mark.parametrize("argv", [
+    ["count", "--method", "brute", "{file}"],
+    ["sweep", "-k", "2", "-n", str(HUGE_N), "-a", "0.01", "-r", "1",
+     "--start", "0.3", "--stop", "0.4", "--step", "0.1", "--method", "brute"],
+], ids=["count", "sweep"])
+def test_commands_refuse_a_huge_brute_space_at_once(argv, tmp_path):
+    # These ran until the process was killed while d^n was built.
+    path = tmp_path / "huge.rbcsp"
+    path.write_text(f"rbcsp 1\nn {HUGE_N} d 2 k 2 m 0\n")
+    env = {**os.environ, "PYTHONPATH": str(pathlib.Path(rbcount.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-m", "rbcount.cli",
+                           *(arg.format(file=path) for arg in argv)],
+                          capture_output=True, text=True, env=env, timeout=2)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.splitlines() == [
+        f"rbcount: error: at least 2^{HUGE_N} assignments exceed the cap of 100000000"]

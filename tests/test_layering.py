@@ -3,13 +3,16 @@ cnf_encode on rb_model, experiments on theory and cli on top.
 
 Each module's imports are read with ast, so a module that reaches up a layer,
 or into a sibling's private names, fails here rather than in an import cycle,
-and an import that nothing uses fails here too.
+and an import that nothing uses fails here too.  Outside the package, only
+the standard library may be imported: the package has no dependencies.
 """
 
 from __future__ import annotations
 
 import ast
 import pathlib
+import re
+import sys
 
 import pytest
 
@@ -72,3 +75,22 @@ def test_every_import_is_used(module):
             imported.update(alias.asname or alias.name for alias in node.names)
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert sorted(imported - used) == []
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda path: path.stem)
+def test_every_absolute_import_is_the_standard_library(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module)
+    assert sorted(name for name in names
+                  if name.split(".")[0] not in sys.stdlib_module_names) == []
+
+
+def test_the_project_declares_no_dependencies():
+    text = (PACKAGE.parents[1] / "pyproject.toml").read_text(encoding="utf-8")
+    (listed,) = re.findall(r"^dependencies\s*=\s*\[([^\]]*)\]", text, re.MULTILINE)
+    assert listed.strip() == ""
