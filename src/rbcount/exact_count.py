@@ -193,17 +193,12 @@ def count_backtrack(instance: Instance) -> CountResult:
         # Keys that agree on field j and on the fields the wide tables read
         # make the same moves, so each group's moves are built once.
         groups: dict[int, list[tuple[int, int]]] = {}
-        by = full << shift | union
+        read = full << shift | union
         for key, ways in layer.items():
             if ways and not (key - live_low) & ~key & live_high:
-                g = key & by
-                group = groups.get(g)
-                if group is None:
-                    groups[g] = [(key, ways)]
-                else:
-                    group.append((key, ways))
+                groups.setdefault(key & read, []).append((key, ways))
                 states += 1
-        layer.clear()  # the groups hold its keys; the dict would only add memory
+        layer.clear()  # the groups hold its entries now
         if not groups:
             break
         next_mask = key_mask[nxt] if nxt < n else 0
@@ -264,7 +259,7 @@ def count_backtrack(instance: Instance) -> CountResult:
                     for mask, w in moves:
                         s = key & mask
                         out[s] = out.get(s, 0) + ways_in * w
-            elif len(fin) == 1:
+            elif len(fin) == 1:  # the common case, without the loop over fin
                 f = fin[0]
                 for key, ways_in in group:
                     for mask, w in moves:
