@@ -75,7 +75,14 @@ def count_backtrack(instance: Instance) -> CountResult:
     second-deepest depth of its scope and prunes the deepest variable's
     field: a binary one through a precomputed AND-mask per (depth, value),
     a wider one through a dict keyed on the assigned fields of its other
-    variables.  A branch ends as soon as any field is empty.
+    variables.  A branch ends as soon as any field is empty.  A state of more
+    than check_cap's cap of bits is refused before anything is built.
+
+    The field of depth t sits at bits (n-1-t)*d, so the fields a depth still
+    holds are the low bits of its keys, and the group and wide-table keys are
+    shifted down to put the branched field at bit 0.  A small int hashes to
+    itself and a dict takes its first slot from the hash's low bits, so keys
+    that agreed there would all walk one probe chain.
 
     A variable whose neighbours are all assigned is never branched on: its
     field can no longer change, so it contributes its popcount as a factor.
@@ -101,11 +108,13 @@ def count_backtrack(instance: Instance) -> CountResult:
     arity >= 2.
     """
     n, d = instance.n, instance.d
+    check_cap(n * d, "state bits")
     order = _static_order(instance)
     depth_of = [0] * n
     for j, v in enumerate(order):
         depth_of[v] = j
     full = (1 << d) - 1
+    top = n - 1  # field t sits at bits (top - t) * d
     ones = (1 << n * d) - 1
     # The lowest and highest bit of every field: (s - low) & ~s & high is
     # nonzero exactly when some field of s is empty.  ones = full * low, as
@@ -125,9 +134,9 @@ def count_backtrack(instance: Instance) -> CountResult:
             fire, last = (a, b) if a < b else (b, a)
             last_nb[fire] = max(last_nb[fire], last)
             last_nb[last] = max(last_nb[last], fire)
-            # Nogood (x, y) bans the deeper variable's value at bit last*d+value
-            # of the shallower variable's row.
-            row, base = cut[fire], last * d
+            # Nogood (x, y) bans the deeper variable's value at bit
+            # (top-last)*d+value of the shallower variable's row.
+            row, base = cut[fire], (top - last) * d
             if a < b:
                 for x, y in c.nogoods:
                     row[x] |= 1 << base + y
@@ -140,20 +149,22 @@ def count_backtrack(instance: Instance) -> CountResult:
         fire, last = depths[src[-1]], depths[tgt]
         for x in depths:
             last_nb[x] = max(last_nb[x], fire if x == last else last)
+        # The table's keys hold its sources shifted down to put field fire at
+        # bit 0, and so does proj.
         proj = 0
         for i in src:
-            proj |= full << depths[i] * d
+            proj |= full << (fire - depths[i]) * d
         table: dict[int, int] = {}
         for ng in c.nogoods:
             key = 0
             for i in src:
-                key |= 1 << (depths[i] * d + ng[i])
-            table[key] = table.get(key, ones) & ~(1 << (last * d + ng[tgt]))
+                key |= 1 << ((fire - depths[i]) * d + ng[i])
+            table[key] = table.get(key, ones) & ~(1 << ((top - last) * d + ng[tgt]))
         tables[fire].append((proj, table))
         # Until it fires, its assigned values steer later pruning.
         for i in src:
             for j in range(depths[i] + 1, fire + 1):
-                key_mask[j] |= full << depths[i] * d
+                key_mask[j] |= full << (top - depths[i]) * d
 
     branching = [j for j in range(n) if last_nb[j] > j]
     finals: list[list[int]] = [[] for _ in range(n)]
@@ -162,9 +173,9 @@ def count_backtrack(instance: Instance) -> CountResult:
         # Field t is final once its deepest neighbour is assigned, and it is
         # in the key while t is unassigned and has an unassigned neighbour.
         if 0 <= last_nb[t] < t:
-            finals[last_nb[t]].append(t * d)
+            finals[last_nb[t]].append((top - t) * d)
         if last_nb[t] >= 0:
-            ends[min(t, last_nb[t])] |= full << t * d
+            ends[min(t, last_nb[t])] |= full << (top - t) * d
     suffix = 0
     for j in range(n - 1, -1, -1):
         suffix |= ends[j]
@@ -183,7 +194,7 @@ def count_backtrack(instance: Instance) -> CountResult:
     layer = {ones & key_mask[branching[0]]: 1}
     nodes, states, total = 1, 0, 0
     for j, nxt in zip(branching, branching[1:] + [n]):
-        shift, fin, checks = j * d, finals[j], tables[j]
+        shift, fin, checks = (top - j) * d, finals[j], tables[j]
         # A key holds only the fields of key_mask[j]; the rest are zero in it.
         live_low = low & key_mask[j]
         live_high = high & key_mask[j]
@@ -191,12 +202,13 @@ def count_backtrack(instance: Instance) -> CountResult:
         for proj, _ in checks:
             union |= proj
         # Keys that agree on field j and on the fields the wide tables read
-        # make the same moves, so each group's moves are built once.
+        # make the same moves, so each group's moves are built once.  A group
+        # is keyed on them shifted down to put field j at bit 0.
         groups: dict[int, list[tuple[int, int]]] = {}
-        read = full << shift | union
+        read = full | union
         for key, ways in layer.items():
             if ways and not (key - live_low) & ~key & live_high:
-                groups.setdefault(key & read, []).append((key, ways))
+                groups.setdefault(key >> shift & read, []).append((key, ways))
                 states += 1
         layer.clear()  # the groups hold its entries now
         if not groups:
@@ -219,9 +231,9 @@ def count_backtrack(instance: Instance) -> CountResult:
         out: dict[int, int] = {}
         while groups:
             g, group = groups.popitem()  # freed as the next depth's keys grow
-            field = g >> shift & full
+            field = g & full
             nodes += field.bit_count() * len(group)
-            sources = g & union & ~(full << shift)
+            sources = g & union & ~full
             shared: dict[int, int] = {}
             rest = field
             while rest:
@@ -229,7 +241,7 @@ def count_backtrack(instance: Instance) -> CountResult:
                 rest ^= bit
                 mask = choice[bit.bit_length() - 1]
                 if checks:
-                    u = sources | bit << shift
+                    u = sources | bit
                     m = wide.get(u)
                     if m is None:
                         m = ones

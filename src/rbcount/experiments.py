@@ -25,7 +25,7 @@ from typing import Callable, Iterable, Iterator, Sequence, TextIO
 from .exact_count import (CountResult, check_decision_divisor, count_backtrack, count_brute,
                           decide_from_count)
 from .rb_model import (DerivedSizes, Instance, RbParams, check_cap, derive_sizes, generate,
-                       mix64)
+                       mix64, with_seed)
 from .theory import ae_count, critical_density, critical_tightness, expected_count
 
 # A grid builds every point's RbParams up front, so its size is bounded.
@@ -177,7 +177,7 @@ def _count_points(points: Sequence[RbParams], instances: int, method: str, jobs:
             started = time.perf_counter()
             sizes = derive_sizes(point)
             check_method_cap(method, sizes.d, point.n)
-            batch = [dataclasses.replace(point, seed=instance_seed(point.seed, index, ii))
+            batch = [with_seed(point, instance_seed(point.seed, index, ii))
                      for ii in range(instances)]
             results = list(map(task, batch) if pool is None
                            else pool.map(task, batch, chunksize=_CHUNK))

@@ -162,13 +162,27 @@ class RbParams:
             raise ValueError(f"density r must be finite and > 0, got {self.r}")
         if not 0.0 < self.p < 1.0:
             raise ValueError(f"tightness p must lie in (0, 1), got {self.p}")
-        if not 0 <= self.seed <= MASK64:
-            raise ValueError("seed must fit in 64 bits")
+        _check_seed(self.seed)
         try:
             derive_sizes(self)
         except OverflowError:
             raise ValueError(f"sizes d = n^alpha, m = r*n*ln n or d^k overflow at k={self.k} "
                              f"n={self.n} alpha={self.alpha} r={self.r}") from None
+
+
+def _check_seed(seed: int) -> None:
+    if not 0 <= seed <= MASK64:
+        raise ValueError("seed must fit in 64 bits")
+
+
+def with_seed(params: RbParams, seed: int) -> RbParams:
+    """dataclasses.replace(params, seed=seed), checking only the new seed: the
+    other fields passed their range checks and derive_sizes when params was
+    built, and the seed enters neither."""
+    _check_seed(seed)
+    copy = object.__new__(RbParams)
+    copy.__dict__.update(params.__dict__, seed=seed)
+    return copy
 
 
 @dataclass(frozen=True)

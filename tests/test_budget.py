@@ -70,6 +70,11 @@ def _count_models_huge_n(monkeypatch):
     count_models(Cnf(HUGE_N, _Untouched()))
 
 
+def _count_backtrack_huge_n(monkeypatch):
+    # The walk's state holds n d-bit fields; it sized n-entry lists first.
+    count_instance(Instance(HUGE_N, 2, _Untouched()), "backtrack")
+
+
 @pytest.mark.parametrize("job,message", [
     (_generate, "452608000000 nogoods exceed the cap of 100000000"),
     (_count_brute, "1000000000 assignments exceed the cap of 100000000"),
@@ -79,8 +84,9 @@ def _count_models_huge_n(monkeypatch):
     (_count_brute_huge_n, f"at least 2^{HUGE_N} assignments exceed the cap of 100000000"),
     (_count_models_huge_n,
      f"at least 2^{HUGE_N} boolean assignments exceed the cap of 100000000"),
+    (_count_backtrack_huge_n, f"{2 * HUGE_N} state bits exceed the cap of 100000000"),
 ], ids=["generate", "count-brute", "sweep-brute", "encode", "count-models",
-        "count-brute-huge-n", "count-models-huge-n"])
+        "count-brute-huge-n", "count-models-huge-n", "count-backtrack-huge-n"])
 def test_every_budget_refuses_in_one_line_before_any_work(job, message, monkeypatch):
     with pytest.raises(CapExceeded) as info:
         job(monkeypatch)
@@ -101,13 +107,18 @@ def test_the_bound_on_a_power_names_a_lower_bound_past_the_exact_path():
         check_cap(10, "assignments", 9)
 
 
-@pytest.mark.parametrize("argv", [
-    ["count", "--method", "brute", "{file}"],
-    ["sweep", "-k", "2", "-n", str(HUGE_N), "-a", "0.01", "-r", "1",
-     "--start", "0.3", "--stop", "0.4", "--step", "0.1", "--method", "brute"],
-], ids=["count", "sweep"])
-def test_commands_refuse_a_huge_brute_space_at_once(argv, tmp_path):
-    # These ran until the process was killed while d^n was built.
+BRUTE_LINE = f"at least 2^{HUGE_N} assignments exceed the cap of 100000000"
+
+
+@pytest.mark.parametrize("argv,line", [
+    (["count", "--method", "brute", "{file}"], BRUTE_LINE),
+    (["sweep", "-k", "2", "-n", str(HUGE_N), "-a", "0.01", "-r", "1",
+      "--start", "0.3", "--stop", "0.4", "--step", "0.1", "--method", "brute"], BRUTE_LINE),
+    (["count", "{file}"], f"{2 * HUGE_N} state bits exceed the cap of 100000000"),
+], ids=["count", "sweep", "count-backtrack"])
+def test_commands_refuse_a_huge_brute_space_at_once(argv, line, tmp_path):
+    # The brute ones ran until the process was killed while d^n was built; the
+    # backtrack one failed in an n-entry list with an unrelated message.
     path = tmp_path / "huge.rbcsp"
     path.write_text(f"rbcsp 1\nn {HUGE_N} d 2 k 2 m 0\n")
     env = {**os.environ, "PYTHONPATH": str(pathlib.Path(rbcount.__file__).parents[1])}
@@ -115,5 +126,4 @@ def test_commands_refuse_a_huge_brute_space_at_once(argv, tmp_path):
                            *(arg.format(file=path) for arg in argv)],
                           capture_output=True, text=True, env=env, timeout=2)
     assert proc.returncode == 2 and proc.stdout == ""
-    assert proc.stderr.splitlines() == [
-        f"rbcount: error: at least 2^{HUGE_N} assignments exceed the cap of 100000000"]
+    assert proc.stderr.splitlines() == [f"rbcount: error: {line}"]

@@ -242,7 +242,7 @@ def test_a_chain_deeper_than_the_recursion_limit_counts():
 
 @st.composite
 def small_instances(draw):
-    k = draw(st.integers(2, 4))
+    k = draw(st.integers(2, 5))  # k = 5 gives wide tables four sources
     n = draw(st.integers(k, 6))
     d = draw(st.integers(2, 4))
     tuples = list(itertools.product(range(d), repeat=k))
