@@ -1,4 +1,4 @@
-"""Direct CNF encoding of instances, DIMACS I/O, and a small model counter.
+"""Direct CNF encoding of instances and DIMACS I/O.
 
 The encoding is count-preserving: boolean models correspond one-to-one with
 CSP solutions.  Variable b(i, v) = i*d + v + 1 says "CSP variable i takes
@@ -127,48 +127,3 @@ def read_dimacs(source: TextIO) -> Cnf:
     cnf.validate()
     return cnf
 
-
-def count_models(cnf: Cnf) -> int:
-    """Count satisfying boolean assignments by depth-first enumeration, once
-    check_cap passes the 2^num_vars of them.
-
-    Assigns variables in numeric order and fails a branch as soon as some
-    clause has all its literals false; once past the highest variable any
-    clause mentions, the remaining variables are free.  Independent of the
-    CSP counters, so it serves as a cross-check for encode_direct.
-    """
-    check_cap(2, "boolean assignments", cnf.num_vars)
-    nv = cnf.num_vars
-    # Clauses keyed by their highest variable; checked once it gets a value.
-    by_max: list[list[tuple[int, ...]]] = [[] for _ in range(nv + 1)]
-    max_var = 0
-    for clause in cnf.clauses:
-        hv = max(abs(lit) for lit in clause)
-        by_max[hv].append(clause)
-        if hv > max_var:
-            max_var = hv
-
-    val = [False] * (nv + 1)  # 1-based
-    count = 0
-
-    def falsified(var: int) -> bool:
-        for clause in by_max[var]:
-            for lit in clause:
-                if val[lit] if lit > 0 else not val[-lit]:
-                    break
-            else:
-                return True
-        return False
-
-    def visit(var: int) -> None:
-        nonlocal count
-        if var > max_var:
-            count += 2 ** (nv - var + 1)
-            return
-        for choice in (False, True):
-            val[var] = choice
-            if not falsified(var):
-                visit(var + 1)
-
-    visit(1)
-    return count

@@ -24,16 +24,14 @@ MASK64 = (1 << 64) - 1
 FORMAT_MAGIC = "rbcsp"
 FORMAT_VERSION = 1
 
-# Assignments are plain sequences of value indices, one per variable.
-Assignment = Sequence[int]
-
 
 class InstanceFormatError(ValueError):
     """Raised when instance text cannot be parsed or fails validation."""
 
 
 # The one budget of a job too large to finish: nogoods generation draws, clauses
-# an encoding builds, assignments a brute-force or CNF model count enumerates.
+# an encoding builds, assignments a brute-force count enumerates, bits of the
+# counting walk's state.
 DEFAULT_BRUTE_CAP = 10 ** 8
 
 
@@ -50,7 +48,7 @@ def check_cap(size: int, unit: str, exponent: int = 1) -> None:
     DEFAULT_BRUTE_CAP, in one short line: a job of 10^60 units or more reads
     "at least 2^x".  When exponent * floor(log2 size), a lower bound on the
     job's log2, exceeds _EXACT_BITS, the power is not built and x is that
-    bound, so a huge d^n or 2^n is refused at once."""
+    bound, so a huge d^n is refused at once."""
     low = exponent * (size.bit_length() - 1)
     if low > _EXACT_BITS:
         shown = f"at least 2^{low}"
@@ -230,9 +228,6 @@ class Constraint:
     scope: tuple[int, ...]
     nogoods: frozenset[tuple[int, ...]]
 
-    def allows(self, assignment: Assignment) -> bool:
-        return tuple(assignment[v] for v in self.scope) not in self.nogoods
-
 
 @dataclass(frozen=True)
 class Instance:
@@ -240,10 +235,6 @@ class Instance:
     d: int
     constraints: tuple[Constraint, ...]
     provenance: RbParams | None = None  # the parameters that generated it
-
-    def satisfies(self, assignment: Assignment) -> bool:
-        """True when no constraint forbids its projection of the assignment."""
-        return all(c.allows(assignment) for c in self.constraints)
 
     def arity(self) -> int:
         """The arity all constraints share (2 when there are none); raises
@@ -461,9 +452,9 @@ def read_instance(source: TextIO) -> Instance:
     The reader checks only the format: magic and version, the size line,
     integer tokens, k values per c/g line, no g before the first c, known
     tags, no duplicate nogood (a frozenset would hide it), the declared m,
-    and the header's k >= 2 and m >= 0, which validate() cannot see when
-    m = 0.  Instance.validate checks the structure.  A constraint with no
-    g lines is legal: it forbids nothing.
+    and the header's k >= 2, m >= 0 and k <= n, which validate() cannot see
+    when m = 0.  Instance.validate checks the structure.  A constraint with
+    no g lines is legal: it forbids nothing.
     """
     lines = enumerate(source, 1)
     lineno, parts = _next_tokens(lines)
@@ -481,6 +472,7 @@ def read_instance(source: TextIO) -> Instance:
     n, d, k, m = _ints(toks[1::2], lineno)
     if k < 2 or m < 0:
         raise InstanceFormatError(f"line {lineno}: need k >= 2 and m >= 0")
+    size_line = lineno
 
     scopes: list[tuple[int, ...]] = []
     nogoods: list[set[tuple[int, ...]]] = []
@@ -524,4 +516,6 @@ def read_instance(source: TextIO) -> Instance:
     inst = Instance(n, d, tuple(Constraint(scope, frozenset(ngs))
                                 for scope, ngs in zip(scopes, nogoods)))
     inst.validate()
+    if k > n:  # when m > 0, validate() has refused the k-variable scopes already
+        raise InstanceFormatError(f"line {size_line}: arity k={k} exceeds variable count n={n}")
     return inst

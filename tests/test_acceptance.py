@@ -15,7 +15,7 @@ import time
 
 import pytest
 
-from rbcount.cnf_encode import count_models, encode_direct
+from rbcount.cnf_encode import encode_direct
 from rbcount.exact_count import count_backtrack, count_brute, threshold_ceiling
 from rbcount.experiments import (SweepConfig, accuracy_table,
                                  crossing_point, instance_seed, sweep_tightness)
@@ -23,8 +23,7 @@ from rbcount.rb_model import RbParams, derive_sizes, generate
 from rbcount.theory import (critical_tightness, expected_count, h_eval,
                             second_moment_ratio)
 
-from test_exact_count import EDGE_CASES, build, reference_count
-from test_rb_model import params_for
+from oracles import EDGE_CASES, build, count_models, params_for, reference_count
 
 
 def report(num: int, ok: bool, detail: str) -> None:

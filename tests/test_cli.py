@@ -16,7 +16,7 @@ from rbcount.cnf_encode import read_dimacs
 from rbcount.experiments import CSV_HEADER, sweep_header
 from rbcount.rb_model import read_instance
 
-from test_rb_model import int_digit_limit
+from oracles import int_digit_limit
 
 DATA = pathlib.Path(__file__).parent / "data"
 TINY = str(DATA / "tiny.rbcsp")

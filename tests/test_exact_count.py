@@ -12,26 +12,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rbcount.cnf_encode import count_models, encode_direct
+from rbcount.cnf_encode import encode_direct
 from rbcount.exact_count import (count_backtrack, count_brute, decide_from_count,
                                  int_nth_root, threshold_ceiling)
 from rbcount.experiments import SweepConfig, grid_values, instance_seed
 from rbcount.rb_model import CapExceeded, Constraint, Instance, RbParams, generate
 from rbcount.theory import ae_count, critical_density, critical_tightness
 
-from test_rb_model import params_for
-
-
-def build(n, d, constraints):
-    return Instance(n, d, tuple(
-        Constraint(tuple(scope), frozenset(map(tuple, nogoods)))
-        for scope, nogoods in constraints))
-
-
-def reference_count(instance):
-    """Third, independent route: filter the assignment space via satisfies()."""
-    return sum(1 for a in itertools.product(range(instance.d), repeat=instance.n)
-               if instance.satisfies(a))
+from oracles import EDGE_CASES, build, count_models, params_for, reference_count
 
 
 # === anchors ===
@@ -74,38 +62,6 @@ def test_brute_cap():
 
 
 # === hand-built edge cases ===
-
-
-EDGE_CASES = [
-    # (n, d, [(scope, nogoods), ...])
-    (2, 2, []),                                       # no constraints at all
-    (2, 2, [((0, 1), [])]),                           # constraint with no nogoods
-    (2, 2, [((0, 1), [(0, 0)])]),
-    (2, 2, [((0, 1), [(0, 0), (1, 1)])]),
-    (2, 3, [((0, 1), [(0, 0), (0, 1), (0, 2)])]),     # kills value 0 of var 0
-    (3, 2, [((0, 1), [(0, 0)]), ((0, 1), [(1, 1)])]),  # duplicate scope
-    (3, 2, [((0, 1), [(0, 0)]), ((1, 2), [(1, 1)]), ((0, 2), [(0, 1)])]),  # cycle
-    (3, 3, [((0, 2), [(0, 0), (1, 1), (2, 2)])]),     # one var untouched
-    (3, 2, [((0, 1, 2), [(0, 0, 0), (1, 1, 1)])]),    # arity 3
-    (3, 2, [((0, 1, 2), [(a, b, c) for a in range(2) for b in range(2)
-                         for c in range(2)][:-1])]),  # single tuple survives
-    (4, 2, [((0, 1), [(0, 0)]), ((2, 3), [(1, 1)])]),  # two components
-    (4, 2, [((0, 1, 2, 3), [(0, 0, 0, 0)])]),         # scope = all variables
-    (4, 3, [((0, 1), [(0, 0), (2, 2)]), ((1, 2), [(1, 1)]),
-            ((2, 3), [(0, 2), (2, 0)]), ((0, 3), [(1, 2)])]),
-    (5, 2, [((0, 4), [(0, 1), (1, 0)])]),             # long-range equality
-    (5, 2, [((i, i + 1), [(0, 0)]) for i in range(4)]),  # chain
-    (5, 2, [((0, i), [(0, 0), (1, 1)]) for i in range(1, 5)]),  # star, difference
-    (4, 4, [((0, 1), [(v, v) for v in range(4)]),
-            ((1, 2), [(v, v) for v in range(4)]),
-            ((2, 3), [(v, v) for v in range(4)])]),   # proper colouring of a path
-    (3, 4, [((0, 1), [(v, w) for v in range(4) for w in range(4)
-                      if (v + w) % 2 == 0])]),        # parity constraint
-    (2, 5, [((0, 1), [(v, w) for v in range(5) for w in range(5)
-                      if v != w][:23])]),             # nearly-total nogoods
-    (6, 2, [((0, 1, 2), [(0, 0, 0)]), ((3, 4, 5), [(1, 1, 1)]),
-            ((0, 5), [(0, 1)]), ((2, 3), [(1, 0), (0, 1)])]),  # mixed arity
-]
 
 
 @pytest.mark.parametrize("case_idx", range(len(EDGE_CASES)))

@@ -5,6 +5,7 @@ Each module's imports are read with ast, so a module that reaches up a layer,
 or into a sibling's private names, fails here rather than in an import cycle,
 and an import that nothing uses fails here too.  Outside the package, only
 the standard library may be imported: the package has no dependencies.
+No test module imports another: what tests share lives in oracles.
 """
 
 from __future__ import annotations
@@ -77,8 +78,8 @@ def test_every_import_is_used(module):
     assert sorted(imported - used) == []
 
 
-@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda path: path.stem)
-def test_every_absolute_import_is_the_standard_library(path):
+def absolute_imports(path: pathlib.Path) -> set[str]:
+    """The dotted names of the file's absolute imports."""
     tree = ast.parse(path.read_text(encoding="utf-8"))
     names = set()
     for node in ast.walk(tree):
@@ -86,8 +87,22 @@ def test_every_absolute_import_is_the_standard_library(path):
             names.update(alias.name for alias in node.names)
         elif isinstance(node, ast.ImportFrom) and node.level == 0:
             names.add(node.module)
-    assert sorted(name for name in names
+    return names
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda path: path.stem)
+def test_every_absolute_import_is_the_standard_library(path):
+    assert sorted(name for name in absolute_imports(path)
                   if name.split(".")[0] not in sys.stdlib_module_names) == []
+
+
+def test_no_test_module_imports_another():
+    paths = sorted(pathlib.Path(__file__).parent.glob("test_*.py"))
+    tests = {path.stem for path in paths}
+    crossing = {path.stem: names for path in paths
+                if (names := sorted(name for name in absolute_imports(path)
+                                    if name.split(".")[0] in tests))}
+    assert crossing == {}
 
 
 def test_the_project_declares_no_dependencies():

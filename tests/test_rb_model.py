@@ -9,7 +9,6 @@ import math
 import pickle
 import random
 import re
-import sys
 from unittest import mock
 
 import pytest
@@ -23,15 +22,7 @@ from rbcount.rb_model import (DEFAULT_BRUTE_CAP, LANE_CAP, MASK64, CapExceeded, 
                               read_instance, round_half_up, with_seed, write_instance)
 from rbcount.theory import theorem_applicability
 
-
-def params_for(k, n, d, m, t, seed=0):
-    """Parameters that concretise exactly to the requested integer sizes."""
-    alpha = math.log(d) / math.log(n)
-    r = m / (n * math.log(n))
-    p = t / d ** k
-    got = derive_sizes(RbParams(k, n, alpha, r, p, seed))
-    assert got == DerivedSizes(d, m, t, p)
-    return RbParams(k, n, alpha, r, p, seed)
+from oracles import allows, int_digit_limit, params_for
 
 
 # === derived sizes ===
@@ -328,7 +319,7 @@ def test_single_assignment_satisfaction_rate():
     params = params_for(k, n, 6, m_target, 9, seed=5)  # p_eff = 9/36 = 0.25
     inst = generate(params)
     assignment = [0] * n
-    hits = sum(1 for c in inst.constraints if c.allows(assignment))
+    hits = sum(1 for c in inst.constraints if allows(c, assignment))
     rate = hits / len(inst.constraints)
     expected = 1 - 0.25
     se = math.sqrt(expected * (1 - expected) / len(inst.constraints))
@@ -452,6 +443,11 @@ MALFORMED = [
      "line 3: expected integer, got 'one'"),
     ("rbcsp 1\nn 0 d 2 k 2 m 0\n", "no variables", "need n >= 1 and d >= 2, got n=0 d=2"),
     ("rbcsp 1\nn 2 d 2 k 1 m 0\n", "arity below 2", "line 2: need k >= 2 and m >= 0"),
+    # with no constraint, no scope shows that k cannot fit n
+    ("rbcsp 1\nn 3 d 2 k 100000000000000000000 m 0\n", "k > n without constraints",
+     "line 2: arity k=100000000000000000000 exceeds variable count n=3"),
+    ("rbcsp 1\n# header\n\nn 3 d 2 k 4 m 0\n", "k > n after a comment",
+     "line 4: arity k=4 exceeds variable count n=3"),
     ("rbcsp 1\nn 3 d 2 k 2 m 2\nc 0 1\ng 0 0\nc 1 2\ng 1 x\n",
      "non-integer in second block", "line 6: expected integer, got 'x'"),
     ("rbcsp 1\nn 3 d 2 k 2 m 2\nc 0 1\ng 1 0\nc 1 2\ng 1 0\ng 0 1\ng 1 0\n",
@@ -491,14 +487,6 @@ def test_parse_reads_a_repeated_nogood_line_into_each_constraint():
     assert inst.constraints == (Constraint((0, 1), frozenset({(1, 0)})),
                                 Constraint((1, 2), frozenset({(1, 0), (0, 1)})),
                                 Constraint((0, 2), frozenset({(0, 1)})))
-
-
-def int_digit_limit():
-    """The most digits int() converts; skips the test on a Python without a limit."""
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    if not limit:
-        pytest.skip("this Python converts integers of any length")
-    return limit
 
 
 def test_parse_names_an_integer_with_too_many_digits():
