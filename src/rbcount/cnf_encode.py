@@ -9,8 +9,7 @@ at-most-one clauses, and every nogood contributes one all-negative clause.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Iterable, TextIO
+from typing import Iterable, NamedTuple, TextIO
 
 from .rb_model import Instance, check_cap, int_token
 
@@ -19,8 +18,7 @@ class DimacsError(ValueError):
     """Raised when DIMACS text cannot be parsed or fails validation."""
 
 
-@dataclass(frozen=True)
-class Cnf:
+class Cnf(NamedTuple):
     num_vars: int
     clauses: tuple[tuple[int, ...], ...]
 

@@ -18,13 +18,12 @@ depth's moves read form a group, and each group's moves are built once.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .rb_model import Instance, check_cap
 
 
-@dataclass(frozen=True)
-class CountResult:
+class CountResult(NamedTuple):
     """A count and what it took: nodes_visited is the assignments enumerated
     (brute) or the value assignments tried plus one for the root
     (backtrack); memo_states is the number of distinct search keys held

@@ -4,23 +4,21 @@ Sweeps over p or r, and tables of exact counts against the closed-form mean,
 start from one ``RbParams`` point and share one loop: ``_count_points`` checks
 the run's instances, method and jobs once, opens one process pool for the run
 when more than one worker can be used, and yields each point's counts in
-order; ``emit_csv`` writes the dataclass rows.  Instance seeds mix the point's
-seed with the (point, index) pair as the generator mixes its draws, so results
-are reproducible and independent of worker count.
+order; ``emit_csv`` writes the rows, typed tuples whose cells it flattens in
+order.  Instance seeds mix the point's seed with the (point, index) pair as
+the generator mixes its draws, so results are reproducible and independent
+of worker count.
 """
 
 from __future__ import annotations
 
-import concurrent.futures
 import contextlib
-import dataclasses
 import functools
 import math
 import os
 import sys
 import time
-from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Sequence, TextIO
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, TextIO
 
 from .exact_count import (CountResult, check_decision_divisor, count_backtrack, count_brute,
                           decide_from_count)
@@ -36,15 +34,7 @@ _CHUNK = 4  # instances a pool worker counts per task
 CSV_HEADER = "p,p_eff,yes_fraction,mean_count_log,median_count_log,mean_nodes,wall_ms"
 
 
-@dataclass(frozen=True)
-class SweepConfig:
-    """A one-dimensional grid over tightness p (vary="p") or density r
-    (vary="r") from the base point, everything else held fixed.
-
-    The base point's varied field is the grid start, and its seed seeds the
-    instances of every grid point.
-    """
-
+class _SweepFields(NamedTuple):
     base: RbParams
     grid_stop: float
     grid_step: float
@@ -54,23 +44,38 @@ class SweepConfig:
     method: str = "backtrack"
     jobs: int = 1
 
-    def __post_init__(self):
+
+class SweepConfig(_SweepFields):
+    """A one-dimensional grid over tightness p (vary="p") or density r
+    (vary="r") from the base point, everything else held fixed.
+
+    The base point's varied field is the grid start, and its seed seeds the
+    instances of every grid point.  Construction checks every field and grid
+    point; _replace and _make take the fields as they are.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.vary not in ("p", "r"):
             raise ValueError(f"vary must be 'p' or 'r', got {self.vary!r}")
         _check_batch(self.instances_per_point, self.method, self.jobs)
         check_decision_divisor(self.divisor)
         self.points  # each grid point's RbParams checks its own values
+        return self
 
-    @functools.cached_property
+    @property
     def points(self) -> list[RbParams]:
-        """The grid points in order: the base point with the varied field set."""
-        start = getattr(self.base, self.vary)
-        return [dataclasses.replace(self.base, **{self.vary: value})
+        """The grid points in order: the base point with the varied field set,
+        each built, and so checked, by RbParams."""
+        fields = self.base._asdict()
+        start = fields[self.vary]
+        return [RbParams(**{**fields, self.vary: value})
                 for value in grid_values(start, self.grid_stop, self.grid_step)]
 
 
-@dataclass(frozen=True)
-class SweepRow:
+class SweepRow(NamedTuple):
     """Aggregates for one grid point; value is its place on the swept axis, p or r.
 
     Count statistics are natural logs (-inf when the statistic is zero);
@@ -171,8 +176,14 @@ def _count_points(points: Sequence[RbParams], instances: int, method: str, jobs:
     _check_batch(instances, method, jobs)
     task = functools.partial(_generate_and_count, method=method)
     workers = min(jobs, -(-instances // _CHUNK), os.cpu_count() or 1)
-    with (concurrent.futures.ProcessPoolExecutor(max_workers=workers) if workers > 1
-          else contextlib.nullcontext()) as pool:
+    if workers > 1:
+        # loaded only for a pool: at the top it would slow every command's start
+        import concurrent.futures
+
+        opened = concurrent.futures.ProcessPoolExecutor(max_workers=workers)
+    else:
+        opened = contextlib.nullcontext()
+    with opened as pool:
         for index, point in enumerate(points):
             started = time.perf_counter()
             sizes = derive_sizes(point)
@@ -250,18 +261,9 @@ def accuracy_header(deltas: Sequence[float]) -> tuple[str, ...]:
     return TABLE_HEADER + tuple(f"coverage_delta_{_fmt(d)}" for d in deltas)
 
 
-def _table_point(point: RbParams, instances: int, method: str, jobs: int) -> tuple:
-    """The row's leading cells (k, n, alpha, r, p, p_eff, instances), the
-    closed-form ExpectedCount at p_eff and the exact counts of the point's
-    instances."""
-    [(_, sizes, results, _)] = _count_points([point], instances, method, jobs)
-    lead = (point.k, point.n, point.alpha, point.r, point.p, sizes.p_eff, instances)
-    return (lead, expected_count(point.n, sizes.d, sizes.m, sizes.p_eff),
-            [res.count for res in results])
+class _TableRow(NamedTuple):
+    """A table row's leading cells: the point and its instance count."""
 
-
-@dataclass(frozen=True)
-class _TableRow:
     k: int
     n: int
     alpha: float
@@ -271,8 +273,17 @@ class _TableRow:
     instances: int
 
 
-@dataclass(frozen=True)
-class AccuracyRow(_TableRow):
+def _table_point(point: RbParams, instances: int, method: str, jobs: int) -> tuple:
+    """The row's _TableRow lead, the closed-form ExpectedCount at p_eff and
+    the exact counts of the point's instances."""
+    [(_, sizes, results, _)] = _count_points([point], instances, method, jobs)
+    lead = _TableRow(point.k, point.n, point.alpha, point.r, point.p, sizes.p_eff, instances)
+    return (lead, expected_count(point.n, sizes.d, sizes.m, sizes.p_eff),
+            [res.count for res in results])
+
+
+class AccuracyRow(NamedTuple):
+    lead: _TableRow
     coverage: tuple[float, ...]  # aligned with the delta list
 
 
@@ -284,13 +295,13 @@ def accuracy_table(point: RbParams, deltas: Sequence[float], *, instances: int =
     the instances."""
     estimates = [ae_count(point, delta) for delta in deltas]
     lead, _, counts = _table_point(point, instances, method, jobs)
-    return AccuracyRow(*lead, coverage=tuple(
+    return AccuracyRow(lead, coverage=tuple(
         sum(1 for x in counts if est.interval_low < x < est.interval_high) / instances
         for est in estimates))
 
 
-@dataclass(frozen=True)
-class ComparisonRow(_TableRow):
+class ComparisonRow(NamedTuple):
+    lead: _TableRow
     mean_count: float       # sample mean of the exact counts
     mean_count_log: float
     expected: float         # closed-form mean at the effective tightness
@@ -302,7 +313,7 @@ def estimator_comparison(point: RbParams, *, instances: int = 300,
     """Sample mean of the point's exact counts next to the closed-form mean;
     point.seed seeds the instances."""
     lead, mean, counts = _table_point(point, instances, method, jobs)
-    return ComparisonRow(*lead, mean_count=sum(counts) / len(counts),
+    return ComparisonRow(lead, mean_count=sum(counts) / len(counts),
                          mean_count_log=_log_mean(counts),
                          expected=mean.expected, log_expected=mean.log_expected)
 
@@ -323,12 +334,12 @@ def _cells(value) -> list[str]:
 
 
 def emit_csv(header: Sequence[str], rows: Iterable, sink: TextIO) -> None:
-    """Write dataclass rows under ``header``: fields in declaration order,
-    nested dataclasses and tuples flattened, ints in decimal and floats as
-    repr, so they keep full precision."""
+    """Write rows, tuples such as SweepRow, under ``header``: fields in order,
+    nested tuples flattened, ints in decimal and floats as repr, so they keep
+    full precision."""
     sink.write(",".join(header) + "\n")
     for row in rows:
-        cells = _cells(dataclasses.astuple(row))
+        cells = _cells(row)
         if len(cells) != len(header):
             raise ValueError(f"row has {len(cells)} cells for {len(header)} columns")
         sink.write(",".join(cells) + "\n")

@@ -16,8 +16,7 @@ from __future__ import annotations
 import itertools
 import math
 import sys
-from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Sequence, TextIO
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, TextIO
 
 MASK64 = (1 << 64) - 1
 
@@ -131,15 +130,7 @@ def _lane_words(states: Sequence[int], first: int, count: int) -> list[int]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RbParams:
-    """The five Model RB knobs plus the generator seed.
-
-    k: constraint arity; n: variable count; alpha: domain growth exponent
-    (d = n^alpha); r: constraint density (m = r*n*ln n); p: constraint
-    tightness, the fraction of value tuples each constraint forbids.
-    """
-
+class _RbFields(NamedTuple):
     k: int
     n: int
     alpha: float
@@ -147,7 +138,21 @@ class RbParams:
     p: float
     seed: int = 0
 
-    def __post_init__(self):
+
+class RbParams(_RbFields):
+    """The five Model RB knobs plus the generator seed.
+
+    k: constraint arity; n: variable count; alpha: domain growth exponent
+    (d = n^alpha); r: constraint density (m = r*n*ln n); p: constraint
+    tightness, the fraction of value tuples each constraint forbids.
+    Construction checks every field; _replace, _make and unpickling take the
+    fields as they are.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.k < 2:
             raise ValueError(f"arity k must be >= 2, got {self.k}")
         if self.n < 2:
@@ -166,6 +171,12 @@ class RbParams:
         except OverflowError:
             raise ValueError(f"sizes d = n^alpha, m = r*n*ln n or d^k overflow at k={self.k} "
                              f"n={self.n} alpha={self.alpha} r={self.r}") from None
+        return self
+
+    def __reduce__(self):
+        # the pickled fields were checked when they were built: a --jobs worker
+        # loads every instance's params without sizing them again
+        return self._make, (tuple(self),)
 
 
 def _check_seed(seed: int) -> None:
@@ -174,17 +185,14 @@ def _check_seed(seed: int) -> None:
 
 
 def with_seed(params: RbParams, seed: int) -> RbParams:
-    """dataclasses.replace(params, seed=seed), checking only the new seed: the
-    other fields passed their range checks and derive_sizes when params was
-    built, and the seed enters neither."""
+    """params._replace(seed=seed), checking only the new seed: the other
+    fields passed their range checks and derive_sizes when params was built,
+    and the seed enters neither."""
     _check_seed(seed)
-    copy = object.__new__(RbParams)
-    copy.__dict__.update(params.__dict__, seed=seed)
-    return copy
+    return params._replace(seed=seed)
 
 
-@dataclass(frozen=True)
-class DerivedSizes:
+class DerivedSizes(NamedTuple):
     """What a parameter point realises: its integer sizes and tightness p_eff."""
 
     d: int          # domain size, >= 2
@@ -221,16 +229,14 @@ def derive_sizes(params: RbParams) -> DerivedSizes:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Constraint:
+class Constraint(NamedTuple):
     """A scope (strictly increasing variable indices) plus forbidden tuples."""
 
     scope: tuple[int, ...]
     nogoods: frozenset[tuple[int, ...]]
 
 
-@dataclass(frozen=True)
-class Instance:
+class Instance(NamedTuple):
     n: int
     d: int
     constraints: tuple[Constraint, ...]
@@ -247,9 +253,11 @@ class Instance:
     def validate(self) -> None:
         """Raise InstanceFormatError if a structural rule is broken.
 
-        The one home of the rules: n >= 1, d >= 2, one arity >= 2 for all
-        constraints, strictly increasing scopes in [0, n), and nogoods of
-        that arity with values in [0, d).  read_instance calls this.
+        The one home of the rules: n >= 1, d >= 2, one arity k >= 2 for all
+        constraints, strictly increasing scopes in [0, n), nogoods of that
+        arity with values in [0, d), and n >= k, k being 2 when there are no
+        constraints, as write_instance's header says: an instance that passes
+        reads back from what write_instance writes.  read_instance calls this.
         """
         if self.n < 1 or self.d < 2:
             raise InstanceFormatError(f"need n >= 1 and d >= 2, got n={self.n} d={self.d}")
@@ -267,6 +275,8 @@ class Instance:
             if set(map(len, c.nogoods)) != {k} or min(vals) < 0 or max(vals) >= self.d:
                 raise InstanceFormatError(f"constraint {ci}: a nogood is not {k} "
                                           f"values in [0, {self.d})")
+        if k > self.n:
+            raise InstanceFormatError(f"arity k={k} exceeds variable count n={self.n}")
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,6 @@ wherever they can overflow a float.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .exact_count import check_decision_divisor
@@ -79,8 +78,7 @@ def expected_count(n: int, d: int, m: int, p_eff: float) -> ExpectedCount:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ApplicabilityReport:
+class ApplicabilityReport(NamedTuple):
     """Which closed-form threshold results apply at a parameter point.
 
     ``tightness_threshold_ok`` covers the critical-tightness formula,
@@ -117,8 +115,7 @@ def theorem_applicability(params: RbParams) -> ApplicabilityReport:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Estimate:
+class Estimate(NamedTuple):
     """Point estimate and relative-width interval for a solution count.
 
     The interval ((1-delta)*E, (1+delta)*E) is carried both linearly and in

@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
+import concurrent.futures
 import csv
-import dataclasses
 import io
 import math
 
@@ -12,7 +12,7 @@ import pytest
 from rbcount import experiments
 from rbcount.exact_count import count_backtrack, decide_from_count
 from rbcount.experiments import (COMPARISON_HEADER, CSV_HEADER, MAX_GRID_POINTS, AccuracyRow,
-                                 SweepConfig, SweepRow, check_method_cap,
+                                 SweepConfig, SweepRow, _TableRow, check_method_cap,
                                  accuracy_header, accuracy_table,
                                  crossing_point, emit_csv, emit_svg_plot,
                                  estimator_comparison, grid_values,
@@ -26,7 +26,7 @@ TINY = SweepConfig(RbParams(k=2, n=5, alpha=0.8, r=1.5, p=0.1), grid_stop=0.5,
 
 
 def strip_wall(rows):
-    return [dataclasses.replace(row, wall_ms=0.0) for row in rows]
+    return [row._replace(wall_ms=0.0) for row in rows]
 
 
 def mk_row(p, yes):
@@ -110,7 +110,7 @@ def test_sweep_is_deterministic_apart_from_timing():
 
 def test_sweep_parallel_equals_serial():
     serial = sweep_tightness(TINY)
-    parallel = sweep_tightness(dataclasses.replace(TINY, jobs=2))
+    parallel = sweep_tightness(TINY._replace(jobs=2))
     assert strip_wall(serial) == strip_wall(parallel)
 
 
@@ -136,19 +136,18 @@ class RecordingExecutor:
 def test_jobs_are_bounded_by_chunks_and_cpus(instances, cpus, sizes, monkeypatch):
     # No real process starts: a huge --jobs asks for a pool of at most one
     # worker per chunk of 4 instances and per CPU, and none for one worker.
-    monkeypatch.setattr(experiments.concurrent.futures, "ProcessPoolExecutor", RecordingExecutor)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingExecutor)
     monkeypatch.setattr(experiments.os, "cpu_count", lambda: cpus)
     monkeypatch.setattr(RecordingExecutor, "sizes", [])
-    config = dataclasses.replace(TINY, instances_per_point=instances)
-    many = sweep_tightness(dataclasses.replace(config, jobs=10 ** 6))
+    config = TINY._replace(instances_per_point=instances)
+    many = sweep_tightness(config._replace(jobs=10 ** 6))
     assert RecordingExecutor.sizes == sizes
     assert strip_wall(many) == strip_wall(sweep_tightness(config))
 
 
 def test_sweep_methods_agree_on_counts():
-    bt = sweep_tightness(dataclasses.replace(TINY, instances_per_point=8))
-    br = sweep_tightness(dataclasses.replace(TINY, instances_per_point=8,
-                                             method="brute"))
+    bt = sweep_tightness(TINY._replace(instances_per_point=8))
+    br = sweep_tightness(TINY._replace(instances_per_point=8, method="brute"))
     for a, b in zip(bt, br):
         assert (a.value, a.p_eff, a.yes_fraction) == (b.value, b.p_eff, b.yes_fraction)
         assert a.mean_count_log == b.mean_count_log
@@ -194,8 +193,7 @@ def test_a_point_beyond_the_brute_cap_generates_nothing(generated):
 
 
 def test_a_point_within_the_brute_cap_generates_each_instance_once(generated):
-    config = dataclasses.replace(TINY, method="brute", instances_per_point=4,
-                                 grid_stop=0.2)
+    config = TINY._replace(method="brute", instances_per_point=4, grid_stop=0.2)
     assert len(sweep_tightness(config)) == 2
     assert len(generated) == 8 and len(set(generated)) == 8
 
@@ -209,9 +207,9 @@ def test_only_brute_counting_is_capped():
 
 def test_sweep_rejects_unknown_method_and_axis():
     with pytest.raises(ValueError):
-        sweep_tightness(dataclasses.replace(TINY, method="guess"))
+        sweep_tightness(SweepConfig(**(TINY._asdict() | {"method": "guess"})))
     with pytest.raises(ValueError):
-        sweep_tightness(dataclasses.replace(TINY, vary="q"))
+        sweep_tightness(SweepConfig(**(TINY._asdict() | {"vary": "q"})))
     with pytest.raises(ValueError, match="vary must be 'p' or 'r'"):
         SweepConfig(TINY.base, grid_stop=0.5, grid_step=0.1, vary="alpha")
 
@@ -226,18 +224,18 @@ def test_sweep_rejects_unknown_method_and_axis():
 ])
 def test_sweep_config_checks_every_grid_point_up_front(change, message):
     with pytest.raises(ValueError, match=message):
-        dataclasses.replace(TINY, **change)
+        SweepConfig(**(TINY._asdict() | change))
 
 
 def test_sweep_config_points_follow_the_grid():
     points = TINY.points
     assert [pt.p for pt in points] == grid_values(0.1, 0.5, 0.1)
-    assert {dataclasses.replace(pt, p=0.1) for pt in points} == {TINY.base}
+    assert {pt._replace(p=0.1) for pt in points} == {TINY.base}
 
 
 def test_sweep_progress_callback_sees_rows_in_order():
     seen = []
-    rows = sweep_tightness(dataclasses.replace(TINY, instances_per_point=4),
+    rows = sweep_tightness(TINY._replace(instances_per_point=4),
                            progress=seen.append)
     assert seen == rows
 
@@ -273,7 +271,7 @@ def test_crossing_point_takes_first_crossing():
 def test_accuracy_coverage_grows_with_interval_width():
     deltas = (0.3, 0.5, 0.7, 0.9)
     row = accuracy_table(RbParams(2, 6, 0.8, 1.5, 0.25), deltas, instances=120)
-    assert row.instances == 120
+    assert row.lead.instances == 120
     assert len(row.coverage) == len(deltas)
     for narrow, wide in zip(row.coverage, row.coverage[1:]):
         assert narrow <= wide
@@ -319,10 +317,10 @@ def test_tables_reject_jobs_below_one(table, jobs):
 def test_tables_seed_instances_from_the_point():
     point = RbParams(2, 5, 0.8, 1.5, 0.2, seed=7)
     row = estimator_comparison(point, instances=6)
-    counts = [count_backtrack(generate(dataclasses.replace(
-        point, seed=instance_seed(7, 0, ii)))).count for ii in range(6)]
+    counts = [count_backtrack(generate(point._replace(
+        seed=instance_seed(7, 0, ii)))).count for ii in range(6)]
     assert row.mean_count == sum(counts) / 6
-    assert estimator_comparison(dataclasses.replace(point, seed=8),
+    assert estimator_comparison(point._replace(seed=8),
                                 instances=6).mean_count != row.mean_count
 
 
@@ -332,7 +330,7 @@ def test_estimator_comparison_mean_tracks_closed_form():
     row = estimator_comparison(point, instances=instances)
     sizes = derive_sizes(point)
     p_eff = sizes.t_nogoods / sizes.d ** point.k
-    assert row.p_eff == p_eff
+    assert row.lead.p_eff == p_eff
     expected = expected_count(point.n, sizes.d, sizes.m, p_eff).expected
     assert row.expected == expected
     assert row.log_expected == pytest.approx(math.log(expected))
@@ -347,7 +345,7 @@ def test_estimator_comparison_mean_tracks_closed_form():
 
 
 def test_csv_header_and_round_trip():
-    rows = sweep_tightness(dataclasses.replace(TINY, instances_per_point=4))
+    rows = sweep_tightness(TINY._replace(instances_per_point=4))
     out = io.StringIO()
     emit_csv(sweep_header("p"), rows, out)
     lines = out.getvalue().splitlines()
@@ -367,8 +365,8 @@ def test_csv_header_and_round_trip():
 
 
 def test_accuracy_csv_shape():
-    row = AccuracyRow(k=2, n=5, alpha=0.8, r=1.5, p=0.2, p_eff=0.1875,
-                      coverage=(0.5, 0.75), instances=40)
+    row = AccuracyRow(_TableRow(k=2, n=5, alpha=0.8, r=1.5, p=0.2, p_eff=0.1875, instances=40),
+                      coverage=(0.5, 0.75))
     out = io.StringIO()
     emit_csv(accuracy_header((0.5, 0.9)), [row], out)
     header, body = out.getvalue().splitlines()
@@ -445,8 +443,8 @@ def test_sweep_manifest_for_tightness_axis():
 
 
 def test_sweep_manifest_for_density_axis():
-    config = dataclasses.replace(TINY, base=RbParams(2, 5, 0.8, 0.5, 0.2), vary="r",
-                                 grid_stop=1.5, grid_step=0.5)
+    config = TINY._replace(base=RbParams(2, 5, 0.8, 0.5, 0.2), vary="r",
+                           grid_stop=1.5, grid_step=0.5)
     entries = sweep_manifest(config)
     assert entries["vary"] == "r"
     assert entries["p"] == 0.2

@@ -5,7 +5,8 @@ Each module's imports are read with ast, so a module that reaches up a layer,
 or into a sibling's private names, fails here rather than in an import cycle,
 and an import that nothing uses fails here too.  Outside the package, only
 the standard library may be imported: the package has no dependencies.
-No test module imports another: what tests share lives in oracles.
+No test module imports another: what tests share lives in oracles.  A fresh
+start of the command loads no heavy module that it does not need.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import ast
 import pathlib
 import re
+import subprocess
 import sys
 
 import pytest
@@ -109,3 +111,22 @@ def test_the_project_declares_no_dependencies():
     text = (PACKAGE.parents[1] / "pyproject.toml").read_text(encoding="utf-8")
     (listed,) = re.findall(r"^dependencies\s*=\s*\[([^\]]*)\]", text, re.MULTILINE)
     assert listed.strip() == ""
+
+
+# What every rbcount command does before its own work, in a fresh process.
+START = """\
+import sys
+sys.path.insert(0, sys.argv[1])
+before = set(sys.modules)
+import rbcount.cli
+rbcount.cli.build_parser()
+print(sorted({"dataclasses", "inspect", "concurrent.futures"} & (set(sys.modules) - before)))
+"""
+
+
+def test_a_command_starts_without_dataclasses_or_the_process_pool():
+    # dataclasses loads inspect, ast, dis and tokenize, and the process pool
+    # loads logging; a start that needs neither should not pay for them
+    proc = subprocess.run([sys.executable, "-I", "-c", START, str(PACKAGE.parent)],
+                          capture_output=True, text=True, timeout=60, check=True)
+    assert proc.stdout.strip() == "[]"

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import io
 import itertools
 import math
@@ -12,7 +11,7 @@ import re
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from rbcount import rb_model
@@ -93,7 +92,7 @@ def test_params_accept_huge_sizes_in_the_float_range():
 def test_with_seed_equals_replace_and_checks_only_the_seed(monkeypatch):
     # The sweep's instances are seeded through it, and the pool pickles them.
     point = RbParams(2, 7, 0.8, 1.7, 0.21, seed=12345)
-    expected = [dataclasses.replace(point, seed=seed) for seed in (0, MASK64)]
+    expected = [RbParams(*point[:-1], seed=seed) for seed in (0, MASK64)]
     monkeypatch.setattr(rb_model, "derive_sizes", None)  # the copy does not size it
     for seed, want in zip((0, MASK64), expected):
         copy = with_seed(point, seed)
@@ -442,6 +441,8 @@ MALFORMED = [
     ("rbcsp 1\nn 2 d 2 k 2 m 1\nc 0 one\n", "non-integer",
      "line 3: expected integer, got 'one'"),
     ("rbcsp 1\nn 0 d 2 k 2 m 0\n", "no variables", "need n >= 1 and d >= 2, got n=0 d=2"),
+    # validate() refuses n below the arity, 2 when there are no constraints
+    ("rbcsp 1\nn 1 d 3 k 2 m 0\n", "one variable", "arity k=2 exceeds variable count n=1"),
     ("rbcsp 1\nn 2 d 2 k 1 m 0\n", "arity below 2", "line 2: need k >= 2 and m >= 0"),
     # with no constraint, no scope shows that k cannot fit n
     ("rbcsp 1\nn 3 d 2 k 100000000000000000000 m 0\n", "k > n without constraints",
@@ -524,6 +525,8 @@ def test_instance_validate_catches_bad_data():
     bad = Instance(2, 2, (Constraint((0,), frozenset({(0,)})),))
     with pytest.raises(InstanceFormatError, match=r"^arity must be >= 2, got 1$"):
         bad.validate()
+    with pytest.raises(InstanceFormatError, match=r"^arity k=2 exceeds variable count n=1$"):
+        Instance(1, 3, ()).validate()
 
 
 def test_instance_validate_names_the_bad_constraint():
@@ -584,3 +587,32 @@ def test_write_read_write_round_trip(k, n, alpha, r, p, seed):
     # the read-back instance has no provenance, so no '#' lines
     assert _written(back) == "".join(
         line for line in first.splitlines(keepends=True) if not line.startswith("#"))
+
+
+@st.composite
+def edge_instances(draw):
+    """Instances at the edges of validate()'s rules: n from 0, d from 1, and k
+    from 2 to 3, with constraints only when k variables exist."""
+    n, d, k = draw(st.integers(0, 5)), draw(st.integers(1, 4)), draw(st.integers(2, 3))
+    if k > n:
+        return Instance(n, d, ())
+    scopes = st.lists(st.integers(0, n - 1), min_size=k, max_size=k, unique=True)
+    nogoods = st.frozensets(st.tuples(*[st.integers(0, d - 1)] * k), max_size=6)
+    return Instance(n, d, tuple(draw(st.lists(
+        st.builds(Constraint, scopes.map(lambda s: tuple(sorted(s))), nogoods), max_size=4))))
+
+
+def _valid(instance):
+    try:
+        instance.validate()
+    except InstanceFormatError:
+        return False
+    return True
+
+
+@settings(max_examples=200, deadline=None)
+@given(inst=edge_instances())
+def test_every_valid_instance_reads_back_as_written(inst):
+    # n = 1 with no constraints was valid, yet its header "k 2" refused to read
+    assume(_valid(inst))
+    assert read_instance(io.StringIO(_written(inst))) == inst
