@@ -14,10 +14,9 @@ import sys
 
 from . import __version__
 from .cnf_encode import encode_direct, write_dimacs
-from .exact_count import check_decision_divisor, decide_from_count
-from .experiments import (COMPARISON_HEADER, METHODS, SweepConfig, accuracy_header,
-                          accuracy_table, count_instance, critical_value,
-                          crossing_point, emit_csv, emit_svg_plot,
+from .exact_count import check_decision_divisor, count_backtrack, decide_from_count
+from .experiments import (COMPARISON_HEADER, SweepConfig, accuracy_header, accuracy_table,
+                          critical_value, crossing_point, emit_csv, emit_svg_plot,
                           estimator_comparison, sweep_header, sweep_manifest,
                           sweep_tightness, write_manifest)
 from .rb_model import (CapExceeded, RbParams, derive_sizes, generate, read_instance,
@@ -78,11 +77,6 @@ def _decimal(count: int) -> str:
         sys.set_int_max_str_digits(limit)
 
 
-def _count_args(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--method", choices=METHODS,
-                     default="backtrack", help="counting algorithm")
-
-
 def _batch_args(sub: argparse.ArgumentParser, instances: int) -> None:
     """The options of a seeded batch of instances per point: sweep and the tables."""
     sub.add_argument("--instances", type=int, default=instances,
@@ -91,7 +85,6 @@ def _batch_args(sub: argparse.ArgumentParser, instances: int) -> None:
     sub.add_argument("--jobs", type=int, default=1,
                      help="worker processes, at most one per 4 instances of a point and "
                           "one per CPU; results are identical for any value")
-    _count_args(sub)
     sub.add_argument("-o", "--output", default="-", help="CSV path, - for stdout")
 
 
@@ -110,7 +103,7 @@ def cmd_gen(args) -> int:
 def cmd_count(args) -> int:
     with _open(args.instance, "r") as fp:
         instance = read_instance(fp)
-    result = count_instance(instance, args.method)
+    result = count_backtrack(instance)
     print(_decimal(result.count))
     print(f"nodes {result.nodes_visited}")
     print(f"method {result.method}")
@@ -122,7 +115,7 @@ def cmd_decide(args) -> int:
     check_decision_divisor(args.divisor)
     with _open(args.instance, "r") as fp:
         instance = read_instance(fp)
-    result = count_instance(instance, args.method)
+    result = count_backtrack(instance)
     answer = decide_from_count(result.count, instance.d, instance.n, args.divisor)
     print("YES" if answer else "NO")
     print(f"count {_decimal(result.count)}")
@@ -181,8 +174,7 @@ def cmd_sweep(args) -> int:
                          f"--vary {args.vary}; the grid starts at --start")
     config = SweepConfig(
         _params(args, **{args.vary: args.start}), args.stop, args.step,
-        vary=args.vary, divisor=args.divisor, instances_per_point=args.instances,
-        method=args.method, jobs=args.jobs)
+        vary=args.vary, divisor=args.divisor, instances_per_point=args.instances, jobs=args.jobs)
 
     def progress(row):
         print(f"{config.vary}={row.value:.4f} p_eff={row.p_eff:.4f} "
@@ -218,16 +210,14 @@ def _parse_deltas(text: str) -> list[float]:
 
 def cmd_accuracy(args) -> int:
     deltas = _parse_deltas(args.deltas)
-    row = accuracy_table(_params(args), deltas, instances=args.instances,
-                         method=args.method, jobs=args.jobs)
+    row = accuracy_table(_params(args), deltas, instances=args.instances, jobs=args.jobs)
     with _open(args.output, "w") as fp:
         emit_csv(accuracy_header(deltas), [row], fp)
     return 0
 
 
 def cmd_compare(args) -> int:
-    row = estimator_comparison(_params(args), instances=args.instances,
-                               method=args.method, jobs=args.jobs)
+    row = estimator_comparison(_params(args), instances=args.instances, jobs=args.jobs)
     with _open(args.output, "w") as fp:
         emit_csv(COMPARISON_HEADER, [row], fp)
     return 0
@@ -257,7 +247,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = subs.add_parser("count", help="count solutions exactly")
     sub.add_argument("instance", help="instance path, - for stdin")
-    _count_args(sub)
     sub.set_defaults(func=cmd_count)
 
     sub = subs.add_parser("decide", help="test count >= d^(n/divisor)")
@@ -265,7 +254,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--divisor", type=int, default=2, help="threshold divisor")
     sub.add_argument("--exit-code", action="store_true",
                      help="exit 0 for YES, 3 for NO")
-    _count_args(sub)
     sub.set_defaults(func=cmd_decide)
 
     sub = subs.add_parser("estimate", help="closed-form count estimate")

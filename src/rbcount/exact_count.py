@@ -4,15 +4,16 @@ Counts are Python integers, so they stay exact at any magnitude, and the
 threshold test count**divisor >= d**n is pure integer arithmetic - no float
 ever touches a decision.
 
-Two counters are provided.  ``count_brute`` enumerates the full assignment
-space and is the cross-checking oracle.  ``count_backtrack`` is the one to
-use for anything beyond toy sizes: a forward-checking search in a static
+Two counters are provided.  ``count_backtrack`` is the one every command,
+sweep and table counts with: a forward-checking search in a static
 variable order, walked one depth at a time.  Each depth holds its distinct
 search keys - the domains of the variables still in play - with the number
 of ways of reaching each, so states with equal keys are expanded once (the
 component-caching idea of #SAT solvers such as Cachet and sharpSAT, walked
 breadth first as a BDD/ZDD is built).  Keys that agree on the fields a
 depth's moves read form a group, and each group's moves are built once.
+``count_brute`` enumerates the full assignment space; it is the oracle that
+the tests and the benchmark's checks hold ``count_backtrack`` to.
 """
 
 from __future__ import annotations

@@ -2,10 +2,10 @@
 
 Sweeps over p or r, and tables of exact counts against the closed-form mean,
 start from one ``RbParams`` point and share one loop: ``_count_points`` checks
-the run's instances, method and jobs once, opens one process pool for the run
-when more than one worker can be used, and yields each point's counts in
-order; ``emit_csv`` writes the rows, typed tuples whose cells it flattens in
-order.  Instance seeds mix the point's seed with the (point, index) pair as
+the run's instances and jobs once, opens one process pool for the run when
+more than one worker can be used, and yields each point's ``count_backtrack``
+results in order; ``emit_csv`` writes the rows, typed tuples whose cells it
+flattens in order.  Instance seeds mix the point's seed with the (point, index) pair as
 the generator mixes its draws, so results are reproducible and independent
 of worker count.
 """
@@ -13,17 +13,14 @@ of worker count.
 from __future__ import annotations
 
 import contextlib
-import functools
 import math
 import os
 import sys
 import time
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, TextIO
 
-from .exact_count import (CountResult, check_decision_divisor, count_backtrack, count_brute,
-                          decide_from_count)
-from .rb_model import (DerivedSizes, Instance, RbParams, check_cap, derive_sizes, generate,
-                       mix64, with_seed)
+from .exact_count import CountResult, check_decision_divisor, count_backtrack, decide_from_count
+from .rb_model import DerivedSizes, RbParams, derive_sizes, generate, mix64, with_seed
 from .theory import ae_count, critical_density, critical_tightness, expected_count
 
 # A grid builds every point's RbParams up front, so its size is bounded.
@@ -41,7 +38,6 @@ class _SweepFields(NamedTuple):
     vary: str = "p"
     divisor: int = 2
     instances_per_point: int = 100
-    method: str = "backtrack"
     jobs: int = 1
 
 
@@ -60,7 +56,7 @@ class SweepConfig(_SweepFields):
         self = super().__new__(cls, *args, **kwargs)
         if self.vary not in ("p", "r"):
             raise ValueError(f"vary must be 'p' or 'r', got {self.vary!r}")
-        _check_batch(self.instances_per_point, self.method, self.jobs)
+        _check_batch(self.instances_per_point, self.jobs)
         check_decision_divisor(self.divisor)
         self.points  # each grid point's RbParams checks its own values
         return self
@@ -129,39 +125,18 @@ def critical_value(config: SweepConfig) -> float:
     return critical_density(base.alpha, derive_sizes(base).p_eff, config.divisor)
 
 
-METHODS = ("backtrack", "brute")  # the methods count_instance accepts
+def _generate_and_count(params: RbParams) -> CountResult:
+    return count_backtrack(generate(params))
 
 
-def count_instance(instance: Instance, method: str) -> CountResult:
-    """Count solutions by "backtrack" or "brute"."""
-    if method == "backtrack":
-        return count_backtrack(instance)
-    if method == "brute":
-        return count_brute(instance)
-    raise ValueError(f"unknown counting method {method!r}")
-
-
-def check_method_cap(method: str, d: int, n: int) -> None:
-    """Raise CapExceeded when count_instance by method would refuse every
-    instance with d values and n variables: only "brute" counting is capped."""
-    if method == "brute":
-        check_cap(d, "assignments", n)
-
-
-def _generate_and_count(params: RbParams, method: str) -> CountResult:
-    return count_instance(generate(params), method)
-
-
-def _check_batch(instances: int, method: str, jobs: int) -> None:
+def _check_batch(instances: int, jobs: int) -> None:
     if instances < 1:
         raise ValueError(f"instances per point must be >= 1, got {instances}")
-    if method not in METHODS:
-        raise ValueError(f"unknown counting method {method!r}")
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
 
 
-def _count_points(points: Sequence[RbParams], instances: int, method: str, jobs: int
+def _count_points(points: Sequence[RbParams], instances: int, jobs: int
                   ) -> Iterator[tuple[RbParams, DerivedSizes, list[CountResult], float]]:
     """For each point in order: the point, its derived sizes, its instances'
     results and the ms they took.
@@ -170,11 +145,8 @@ def _count_points(points: Sequence[RbParams], instances: int, method: str, jobs:
     i, ii) and counted in order, in this process or on one process pool shared
     by every point.  The pool has min(jobs, ceil(instances / _CHUNK), CPUs)
     workers, as more would get no chunk or no CPU, and is not opened for one.
-    Every instance of a point shares d and n, so a point beyond the
-    brute-force cap raises CapExceeded before any is generated.
     """
-    _check_batch(instances, method, jobs)
-    task = functools.partial(_generate_and_count, method=method)
+    _check_batch(instances, jobs)
     workers = min(jobs, -(-instances // _CHUNK), os.cpu_count() or 1)
     if workers > 1:
         # loaded only for a pool: at the top it would slow every command's start
@@ -187,11 +159,10 @@ def _count_points(points: Sequence[RbParams], instances: int, method: str, jobs:
         for index, point in enumerate(points):
             started = time.perf_counter()
             sizes = derive_sizes(point)
-            check_method_cap(method, sizes.d, point.n)
             batch = [with_seed(point, instance_seed(point.seed, index, ii))
                      for ii in range(instances)]
-            results = list(map(task, batch) if pool is None
-                           else pool.map(task, batch, chunksize=_CHUNK))
+            results = list(map(_generate_and_count, batch) if pool is None
+                           else pool.map(_generate_and_count, batch, chunksize=_CHUNK))
             yield point, sizes, results, (time.perf_counter() - started) * 1000.0
 
 
@@ -220,7 +191,7 @@ def sweep_tightness(config: SweepConfig,
     """
     rows = []
     for point, sizes, done, wall_ms in _count_points(
-            config.points, config.instances_per_point, config.method, config.jobs):
+            config.points, config.instances_per_point, config.jobs):
         counts = [res.count for res in done]
         yes = sum(1 for res in done
                   if decide_from_count(res.count, sizes.d, point.n, config.divisor))
@@ -273,10 +244,10 @@ class _TableRow(NamedTuple):
     instances: int
 
 
-def _table_point(point: RbParams, instances: int, method: str, jobs: int) -> tuple:
+def _table_point(point: RbParams, instances: int, jobs: int) -> tuple:
     """The row's _TableRow lead, the closed-form ExpectedCount at p_eff and
     the exact counts of the point's instances."""
-    [(_, sizes, results, _)] = _count_points([point], instances, method, jobs)
+    [(_, sizes, results, _)] = _count_points([point], instances, jobs)
     lead = _TableRow(point.k, point.n, point.alpha, point.r, point.p, sizes.p_eff, instances)
     return (lead, expected_count(point.n, sizes.d, sizes.m, sizes.p_eff),
             [res.count for res in results])
@@ -288,13 +259,13 @@ class AccuracyRow(NamedTuple):
 
 
 def accuracy_table(point: RbParams, deltas: Sequence[float], *, instances: int = 300,
-                   method: str = "backtrack", jobs: int = 1) -> AccuracyRow:
+                   jobs: int = 1) -> AccuracyRow:
     """Fraction of the point's instances whose exact count X lands strictly
     inside ((1-delta)*E, (1+delta)*E), for each delta; E is the mean count at
     the point's effective tightness: ae_count's interval.  point.seed seeds
     the instances."""
     estimates = [ae_count(point, delta) for delta in deltas]
-    lead, _, counts = _table_point(point, instances, method, jobs)
+    lead, _, counts = _table_point(point, instances, jobs)
     return AccuracyRow(lead, coverage=tuple(
         sum(1 for x in counts if est.interval_low < x < est.interval_high) / instances
         for est in estimates))
@@ -308,11 +279,10 @@ class ComparisonRow(NamedTuple):
     log_expected: float
 
 
-def estimator_comparison(point: RbParams, *, instances: int = 300,
-                         method: str = "backtrack", jobs: int = 1) -> ComparisonRow:
+def estimator_comparison(point: RbParams, *, instances: int = 300, jobs: int = 1) -> ComparisonRow:
     """Sample mean of the point's exact counts next to the closed-form mean;
     point.seed seeds the instances."""
-    lead, mean, counts = _table_point(point, instances, method, jobs)
+    lead, mean, counts = _table_point(point, instances, jobs)
     return ComparisonRow(lead, mean_count=sum(counts) / len(counts),
                          mean_count_log=_log_mean(counts),
                          expected=mean.expected, log_expected=mean.log_expected)
@@ -409,7 +379,7 @@ def sweep_manifest(config: SweepConfig) -> dict:
     """Manifest entries for a sweep: the full config plus derived context.
 
     d is constant along either axis; m only along p, so it is recorded
-    only there.
+    only there.  method names the one counter, count_backtrack.
     """
     base, vary = config.base, config.vary
     sizes = derive_sizes(base)
@@ -420,7 +390,7 @@ def sweep_manifest(config: SweepConfig) -> dict:
         "grid_step": config.grid_step, "vary": vary,
         "divisor": config.divisor,
         "instances_per_point": config.instances_per_point,
-        "base_seed": base.seed, "method": config.method,
+        "base_seed": base.seed, "method": "backtrack",
         "jobs": config.jobs, "d": sizes.d,
     }
     if vary == "p":

@@ -12,9 +12,9 @@ import sys
 import pytest
 
 import rbcount
-from rbcount import cnf_encode, experiments, rb_model
+from rbcount import cnf_encode, rb_model
 from rbcount.cnf_encode import encode_direct
-from rbcount.experiments import SweepConfig, count_instance, sweep_tightness
+from rbcount.exact_count import count_backtrack, count_brute
 from rbcount.rb_model import CapExceeded, Instance, RbParams, check_cap, generate
 
 
@@ -37,16 +37,8 @@ def _generate(monkeypatch):
 
 
 def _count_brute(monkeypatch):
-    # count and decide --method brute count through count_instance
-    count_instance(Instance(9, 10, _Untouched()), "brute")
-
-
-def _sweep_brute(monkeypatch):
-    monkeypatch.setattr(experiments, "generate", _never("an instance generated"))
-    point = RbParams(k=2, n=13, alpha=0.8, r=1.7, p=0.2)  # d=8
-    sweep_tightness(SweepConfig(point, grid_stop=0.24, grid_step=0.02,
-                                instances_per_point=3, method="brute"),
-                    progress=_never("a progress line printed"))
+    # the tests' and the benchmark's oracle; no command counts with it
+    count_brute(Instance(9, 10, _Untouched()))
 
 
 def _encode(monkeypatch):
@@ -59,23 +51,21 @@ HUGE_N = 10 ** 30
 
 
 def _count_brute_huge_n(monkeypatch):
-    count_instance(Instance(HUGE_N, 2, _Untouched()), "brute")
+    count_brute(Instance(HUGE_N, 2, _Untouched()))
 
 
 def _count_backtrack_huge_n(monkeypatch):
     # The walk's state holds n d-bit fields; it sized n-entry lists first.
-    count_instance(Instance(HUGE_N, 2, _Untouched()), "backtrack")
+    count_backtrack(Instance(HUGE_N, 2, _Untouched()))
 
 
 @pytest.mark.parametrize("job,message", [
     (_generate, "452608000000 nogoods exceed the cap of 100000000"),
     (_count_brute, "1000000000 assignments exceed the cap of 100000000"),
-    (_sweep_brute, "549755813888 assignments exceed the cap of 100000000"),  # 8^13
     (_encode, "100005154 clauses exceed the cap of 100000000"),
     (_count_brute_huge_n, f"at least 2^{HUGE_N} assignments exceed the cap of 100000000"),
     (_count_backtrack_huge_n, f"{2 * HUGE_N} state bits exceed the cap of 100000000"),
-], ids=["generate", "count-brute", "sweep-brute", "encode", "count-brute-huge-n",
-        "count-backtrack-huge-n"])
+], ids=["generate", "count-brute", "encode", "count-brute-huge-n", "count-backtrack-huge-n"])
 def test_every_budget_refuses_in_one_line_before_any_work(job, message, monkeypatch):
     with pytest.raises(CapExceeded) as info:
         job(monkeypatch)
@@ -96,18 +86,10 @@ def test_the_bound_on_a_power_names_a_lower_bound_past_the_exact_path():
         check_cap(10, "assignments", 9)
 
 
-BRUTE_LINE = f"at least 2^{HUGE_N} assignments exceed the cap of 100000000"
-
-
 @pytest.mark.parametrize("argv,line", [
-    (["count", "--method", "brute", "{file}"], BRUTE_LINE),
-    (["sweep", "-k", "2", "-n", str(HUGE_N), "-a", "0.01", "-r", "1",
-      "--start", "0.3", "--stop", "0.4", "--step", "0.1", "--method", "brute"], BRUTE_LINE),
     (["count", "{file}"], f"{2 * HUGE_N} state bits exceed the cap of 100000000"),
-], ids=["count", "sweep", "count-backtrack"])
+], ids=["count-backtrack"])
 def test_commands_refuse_a_huge_brute_space_at_once(argv, line, tmp_path):
-    # The brute ones ran until the process was killed while d^n was built; the
-    # backtrack one failed in an n-entry list with an unrelated message.
     path = tmp_path / "huge.rbcsp"
     path.write_text(f"rbcsp 1\nn {HUGE_N} d 2 k 2 m 0\n")
     env = {**os.environ, "PYTHONPATH": str(pathlib.Path(rbcount.__file__).parents[1])}

@@ -10,7 +10,7 @@ import time
 
 import pytest
 
-from rbcount import experiments
+from rbcount import cli
 from rbcount.cli import build_parser, main
 from rbcount.cnf_encode import read_dimacs
 from rbcount.experiments import CSV_HEADER, sweep_header
@@ -63,13 +63,6 @@ def test_count_tiny_instance(capsys):
     assert lines[1] == "nodes 3"
     assert lines[2] == "method backtrack"
     assert lines[3] == "memo_states 1"  # the one root state
-
-
-def test_count_brute_method(capsys):
-    code, out, _ = run(["count", TINY, "--method", "brute"], capsys)
-    assert code == 0
-    assert out.splitlines()[0] == "3"
-    assert out.splitlines()[2] == "method brute"
 
 
 def test_count_reads_stdin(capsys, monkeypatch):
@@ -224,7 +217,7 @@ HUGE_N = "n 1" + "0" * 30 + " d 2 k 2 m 0\n"  # n is past an index-sized int
 def test_instances_too_large_to_count_exit_2(command, sizes, counter, tmp_path, capsys,
                                              monkeypatch):
     if counter is not None:
-        monkeypatch.setattr(experiments, "count_backtrack", counter)
+        monkeypatch.setattr(cli, "count_backtrack", counter)
     path = tmp_path / "big.rbcsp"
     path.write_text("rbcsp 1\n" + sizes)
     code, out, err = run([command, str(path)], capsys)
@@ -274,31 +267,6 @@ def test_huge_counts_print_exactly(huge_count_file, capsys):
     assert out.splitlines()[:2] == ["YES", "count 1" + "0" * 5000]
     # the process-wide int-string limit is back where it was
     assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
-
-
-def test_brute_cap_error_names_the_space_not_its_digits(huge_count_file, capsys):
-    code, out, err = run(["count", huge_count_file, "--method", "brute"], capsys)
-    assert code == 2 and out == ""
-    (line,) = err.splitlines()
-    assert line == "rbcount: error: at least 2^16609 assignments exceed the cap of 100000000"
-    assert len(line) < 200
-
-
-@pytest.mark.parametrize("command", [
-    ["sweep", "--start", "0.2", "--stop", "0.24", "--step", "0.02"],
-    ["accuracy", "-p", "0.2"],
-    ["compare", "-p", "0.2"],
-], ids=["sweep", "accuracy", "compare"])
-def test_tables_report_the_brute_cap_message(command, tmp_path, capsys):
-    # d = 8 at n = 13, alpha = 0.8, and 8^13 > 10^8
-    csv_path = tmp_path / "t.csv"
-    code, out, err = run(command + ["-k", "2", "-n", "13", "-a", "0.8", "-r", "1.7",
-                                    "--instances", "3", "--method", "brute",
-                                    "-o", str(csv_path)], capsys)
-    assert code == 2 and out == ""
-    assert err.splitlines() == ["rbcount: error: 549755813888 assignments exceed the cap of "
-                                "100000000"]  # 8^13
-    assert not csv_path.exists()
 
 
 # d = 64000, m = 221 and t = 2,048,000,000 nogoods per constraint at p = 0.5
@@ -480,12 +448,11 @@ def test_help_and_version_exit_0(capsys):
 
 
 PARAMS = [("-k", None), ("-n", None), ("-a --alpha", None), ("-r", None), ("-p", None)]
-BATCH = [("--seed", 0), ("--jobs", 1), ("--method", "backtrack"), ("-o --output", "-")]
+BATCH = [("--seed", 0), ("--jobs", 1), ("-o --output", "-")]
 OPTIONS = {
     "gen": PARAMS + [("--seed", 0), ("-o --output", "-")],
-    "count": [("instance", None), ("--method", "backtrack")],
-    "decide": [("instance", None), ("--divisor", 2), ("--exit-code", False),
-               ("--method", "backtrack")],
+    "count": [("instance", None)],
+    "decide": [("instance", None), ("--divisor", 2), ("--exit-code", False)],
     "estimate": PARAMS + [("--delta", 0.9), ("--divisor", 2), ("--band", 0.005)],
     "encode": [("instance", None), ("-o --output", "-")],
     "sweep": PARAMS + [("--vary", "p"), ("--start", None), ("--stop", None),
@@ -505,6 +472,21 @@ def test_each_subcommand_declares_its_options():
     assert declared == OPTIONS
 
 
+@pytest.mark.parametrize("argv", [
+    ["count", TINY],
+    ["decide", TINY],
+    SWEEP_SMALL,
+    ["accuracy"] + SMALL + ["-r", "1.5", "-p", "0.2", "--instances", "2"],
+    ["compare"] + SMALL + ["-r", "1.5", "-p", "0.2", "--instances", "2"],
+], ids=["count", "decide", "sweep", "accuracy", "compare"])
+def test_no_command_takes_a_counting_method(argv, capsys):
+    # every command counts with count_backtrack; there is no counter to choose
+    assert run(argv, capsys)[0] == 0
+    code, out, err = run(argv + ["--method", "backtrack"], capsys)
+    assert code == 1 and out == ""
+    assert err.splitlines() == ["rbcount: error: unrecognized arguments: --method backtrack"]
+
+
 def test_a_huge_divisor_answers_at_once(tmp_path, capsys):
     huge = str(10 ** 20)
     code, out, _ = run(["decide", TINY, "--divisor", huge], capsys)
@@ -520,7 +502,7 @@ def test_decide_rejects_bad_divisor(capsys, monkeypatch):
     def counter(instance):
         pytest.fail("decide counted before it checked --divisor")
 
-    monkeypatch.setattr(experiments, "count_backtrack", counter)
+    monkeypatch.setattr(cli, "count_backtrack", counter)
     code, _, err = run(["decide", TINY, "--divisor", "1"], capsys)
     assert code == 2
     assert err.splitlines() == ["rbcount: error: divisor must be an integer >= 2, got 1"]

@@ -10,15 +10,15 @@ import math
 import pytest
 
 from rbcount import experiments
-from rbcount.exact_count import count_backtrack, decide_from_count
+from rbcount.exact_count import count_backtrack, count_brute, decide_from_count
 from rbcount.experiments import (COMPARISON_HEADER, CSV_HEADER, MAX_GRID_POINTS, AccuracyRow,
-                                 SweepConfig, SweepRow, _TableRow, check_method_cap,
+                                 SweepConfig, SweepRow, _TableRow,
                                  accuracy_header, accuracy_table,
                                  crossing_point, emit_csv, emit_svg_plot,
                                  estimator_comparison, grid_values,
                                  instance_seed, sweep_header, sweep_manifest,
                                  sweep_tightness, write_manifest)
-from rbcount.rb_model import CapExceeded, RbParams, derive_sizes, generate
+from rbcount.rb_model import RbParams, derive_sizes, generate
 from rbcount.theory import critical_density, expected_count, second_moment_ratio
 
 TINY = SweepConfig(RbParams(k=2, n=5, alpha=0.8, r=1.5, p=0.1), grid_stop=0.5,
@@ -145,9 +145,12 @@ def test_jobs_are_bounded_by_chunks_and_cpus(instances, cpus, sizes, monkeypatch
     assert strip_wall(many) == strip_wall(sweep_tightness(config))
 
 
-def test_sweep_methods_agree_on_counts():
+def test_sweep_methods_agree_on_counts(monkeypatch):
+    # the same sweep with the enumerating oracle counting each regenerated instance
     bt = sweep_tightness(TINY._replace(instances_per_point=8))
-    br = sweep_tightness(TINY._replace(instances_per_point=8, method="brute"))
+    monkeypatch.setattr(experiments, "count_backtrack", count_brute)
+    br = sweep_tightness(TINY._replace(instances_per_point=8))
+    assert len(bt) == len(br) == 5
     for a, b in zip(bt, br):
         assert (a.value, a.p_eff, a.yes_fraction) == (b.value, b.p_eff, b.yes_fraction)
         assert a.mean_count_log == b.mean_count_log
@@ -177,37 +180,13 @@ def generated(monkeypatch):
     return calls
 
 
-def test_a_point_beyond_the_brute_cap_generates_nothing(generated):
-    point = RbParams(k=2, n=13, alpha=0.8, r=1.7, p=0.2)  # d=8, and 8^13 > 10^8
-    config = SweepConfig(point, grid_stop=0.24, grid_step=0.02, instances_per_point=30,
-                         method="brute")
-    message = "^549755813888 assignments exceed the cap of 100000000$"  # 8^13
-    with pytest.raises(CapExceeded, match=message):
-        sweep_tightness(config)
-    brute = dict(instances=300, method="brute")
-    with pytest.raises(CapExceeded, match=message):
-        accuracy_table(point, [0.5], **brute)
-    with pytest.raises(CapExceeded, match=message):
-        estimator_comparison(point, **brute)
-    assert generated == []
-
-
 def test_a_point_within_the_brute_cap_generates_each_instance_once(generated):
-    config = TINY._replace(method="brute", instances_per_point=4, grid_stop=0.2)
+    config = TINY._replace(instances_per_point=4, grid_stop=0.2)
     assert len(sweep_tightness(config)) == 2
     assert len(generated) == 8 and len(set(generated)) == 8
 
 
-def test_only_brute_counting_is_capped():
-    check_method_cap("backtrack", 8, 13)
-    check_method_cap("brute", 10, 8)
-    with pytest.raises(CapExceeded, match="^1000000000 assignments exceed the cap of 100000000$"):
-        check_method_cap("brute", 10, 9)
-
-
-def test_sweep_rejects_unknown_method_and_axis():
-    with pytest.raises(ValueError):
-        sweep_tightness(SweepConfig(**(TINY._asdict() | {"method": "guess"})))
+def test_sweep_rejects_unknown_axis():
     with pytest.raises(ValueError):
         sweep_tightness(SweepConfig(**(TINY._asdict() | {"vary": "q"})))
     with pytest.raises(ValueError, match="vary must be 'p' or 'r'"):
@@ -220,7 +199,6 @@ def test_sweep_rejects_unknown_method_and_axis():
     ({"divisor": 1}, "divisor must be an integer >= 2, got 1"),
     ({"grid_stop": 1.2, "grid_step": 0.3}, r"tightness p must lie in \(0, 1\), got 1.0"),
     ({"vary": "r", "grid_stop": 1e300, "grid_step": 1e-300}, "finite number of steps"),
-    ({"method": "guess"}, "unknown counting method 'guess'"),
 ])
 def test_sweep_config_checks_every_grid_point_up_front(change, message):
     with pytest.raises(ValueError, match=message):
@@ -295,23 +273,11 @@ def test_accuracy_table_rejects_bad_delta(monkeypatch):
     lambda **kw: accuracy_table(RbParams(2, 5, 0.8, 1.5, 0.2), [0.5], **kw),
     lambda **kw: estimator_comparison(RbParams(2, 5, 0.8, 1.5, 0.2), **kw),
 ], ids=["accuracy", "comparison"])
-def test_tables_reject_unknown_method(table, monkeypatch):
-    def generate(params):
-        pytest.fail("the table generated an instance before it checked the method")
-
-    monkeypatch.setattr(experiments, "generate", generate)
-    with pytest.raises(ValueError, match="unknown counting method"):
-        table(instances=3, method="guess")
-
-
-@pytest.mark.parametrize("table", [
-    lambda **kw: accuracy_table(RbParams(2, 5, 0.8, 1.5, 0.2), [0.5], **kw),
-    lambda **kw: estimator_comparison(RbParams(2, 5, 0.8, 1.5, 0.2), **kw),
-], ids=["accuracy", "comparison"])
 @pytest.mark.parametrize("jobs", [0, -2])
-def test_tables_reject_jobs_below_one(table, jobs):
+def test_tables_reject_jobs_below_one(table, jobs, generated):
     with pytest.raises(ValueError, match=f"jobs must be >= 1, got {jobs}"):
         table(instances=3, jobs=jobs)
+    assert generated == []
 
 
 def test_tables_seed_instances_from_the_point():
