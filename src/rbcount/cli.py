@@ -21,8 +21,7 @@ from .experiments import (COMPARISON_HEADER, SweepConfig, accuracy_header, accur
                           sweep_tightness, write_manifest)
 from .rb_model import (CapExceeded, RbParams, derive_sizes, generate, read_instance,
                        write_instance)
-from .theory import (DEFAULT_CRITICAL_BAND, ae_count, critical_density, critical_tightness,
-                     theorem_applicability)
+from .theory import ae_count, critical_density, critical_tightness, theorem_applicability
 
 
 class UsageError(Exception):
@@ -106,7 +105,7 @@ def cmd_count(args) -> int:
     result = count_backtrack(instance)
     print(_decimal(result.count))
     print(f"nodes {result.nodes_visited}")
-    print(f"method {result.method}")
+    print("method backtrack")
     print(f"memo_states {result.memo_states}")
     return 0
 
@@ -128,7 +127,7 @@ def cmd_decide(args) -> int:
 def cmd_estimate(args) -> int:
     params = _params(args)
     sizes = derive_sizes(params)
-    est = ae_count(params, args.delta, args.divisor, critical_band=args.band)
+    est = ae_count(params, args.delta, args.divisor)
     report = theorem_applicability(params)
     print(f"d {sizes.d}")
     print(f"m {sizes.m}")
@@ -205,6 +204,9 @@ def _parse_deltas(text: str) -> list[float]:
         raise UsageError(f"rbcount accuracy: error: bad delta list {text!r}") from None
     if not deltas:
         raise UsageError("rbcount accuracy: error: empty delta list")
+    repeats = [delta for i, delta in enumerate(deltas) if delta in deltas[:i]]
+    if repeats:  # two CSV columns of one name, of which a reader keeps one
+        raise UsageError(f"rbcount accuracy: error: repeated delta {repeats[0]!r}")
     return deltas
 
 
@@ -261,8 +263,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--delta", type=float, default=0.9,
                      help="relative interval half-width in (0, 1]")
     sub.add_argument("--divisor", type=int, default=2, help="threshold divisor")
-    sub.add_argument("--band", type=float, default=DEFAULT_CRITICAL_BAND,
-                     help="CRITICAL band around the critical tightness")
     sub.set_defaults(func=cmd_estimate)
 
     sub = subs.add_parser("encode", help="emit a DIMACS CNF encoding")

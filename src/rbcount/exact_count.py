@@ -25,14 +25,13 @@ from .rb_model import Instance, check_cap
 
 
 class CountResult(NamedTuple):
-    """A count and what it took: nodes_visited is the assignments enumerated
-    (brute) or the value assignments tried plus one for the root
-    (backtrack); memo_states is the number of distinct search keys held
-    across the depths (backtrack; 0 for brute)."""
+    """A count and what it took, from count_brute or count_backtrack, which
+    the caller knows: nodes_visited is the assignments enumerated (brute) or
+    the value assignments tried plus one for the root (backtrack); memo_states
+    is the number of distinct search keys held across the depths (0 for brute)."""
 
     count: int
     nodes_visited: int
-    method: str  # "brute" | "backtrack"
     memo_states: int = 0
 
 
@@ -52,7 +51,7 @@ def count_brute(instance: Instance) -> CountResult:
                 break
         else:
             count += 1
-    return CountResult(count=count, nodes_visited=space, method="brute")
+    return CountResult(count=count, nodes_visited=space)
 
 
 def _static_order(instance: Instance) -> list[int]:
@@ -181,7 +180,7 @@ def count_backtrack(instance: Instance) -> CountResult:
         suffix |= ends[j]
         key_mask[j] |= suffix
     if not branching:
-        return CountResult(count=d ** n, nodes_visited=1, method="backtrack")
+        return CountResult(count=d ** n, nodes_visited=1)
 
     # layer maps each distinct key reached at a branching depth to the number
     # of ways of reaching it, with final fields' popcounts multiplied in.  A
@@ -290,8 +289,7 @@ def count_backtrack(instance: Instance) -> CountResult:
                         out[s] = out.get(s, 0) + ways
         layer = out
     isolated = last_nb.count(-1)
-    return CountResult(count=d ** isolated * total, nodes_visited=nodes,
-                       method="backtrack", memo_states=states)
+    return CountResult(count=d ** isolated * total, nodes_visited=nodes, memo_states=states)
 
 
 def check_decision_divisor(divisor: int) -> None:

@@ -20,7 +20,7 @@ import time
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, TextIO
 
 from .exact_count import CountResult, check_decision_divisor, count_backtrack, decide_from_count
-from .rb_model import DerivedSizes, RbParams, derive_sizes, generate, mix64, with_seed
+from .rb_model import DerivedSizes, RbParams, derive_sizes, generate, mix64
 from .theory import ae_count, critical_density, critical_tightness, expected_count
 
 # A grid builds every point's RbParams up front, so its size is bounded.
@@ -141,10 +141,12 @@ def _count_points(points: Sequence[RbParams], instances: int, jobs: int
     """For each point in order: the point, its derived sizes, its instances'
     results and the ms they took.
 
-    The instances of the point at index i are seeded instance_seed(point.seed,
-    i, ii) and counted in order, in this process or on one process pool shared
-    by every point.  The pool has min(jobs, ceil(instances / _CHUNK), CPUs)
-    workers, as more would get no chunk or no CPU, and is not opened for one.
+    The instances of the point at index i are point._replace(seed=s), unchecked,
+    as s = instance_seed(point.seed, i, ii) is a 64-bit word.  They are counted
+    in order, in this process or on one process pool shared by every point,
+    whose workers unpickle them through the checks of RbParams.
+    The pool has min(jobs, ceil(instances / _CHUNK), CPUs) workers, as more
+    would get no chunk or no CPU, and is not opened for one.
     """
     _check_batch(instances, jobs)
     workers = min(jobs, -(-instances // _CHUNK), os.cpu_count() or 1)
@@ -159,7 +161,7 @@ def _count_points(points: Sequence[RbParams], instances: int, jobs: int
         for index, point in enumerate(points):
             started = time.perf_counter()
             sizes = derive_sizes(point)
-            batch = [with_seed(point, instance_seed(point.seed, index, ii))
+            batch = [point._replace(seed=instance_seed(point.seed, index, ii))
                      for ii in range(instances)]
             results = list(map(_generate_and_count, batch) if pool is None
                            else pool.map(_generate_and_count, batch, chunksize=_CHUNK))

@@ -145,8 +145,8 @@ class RbParams(_RbFields):
     k: constraint arity; n: variable count; alpha: domain growth exponent
     (d = n^alpha); r: constraint density (m = r*n*ln n); p: constraint
     tightness, the fraction of value tuples each constraint forbids.
-    Construction checks every field; _replace, _make and unpickling take the
-    fields as they are.
+    Construction and unpickling check every field; _replace and _make take
+    the fields as they are.
     """
 
     __slots__ = ()
@@ -165,31 +165,14 @@ class RbParams(_RbFields):
             raise ValueError(f"density r must be finite and > 0, got {self.r}")
         if not 0.0 < self.p < 1.0:
             raise ValueError(f"tightness p must lie in (0, 1), got {self.p}")
-        _check_seed(self.seed)
+        if not 0 <= self.seed <= MASK64:
+            raise ValueError("seed must fit in 64 bits")
         try:
             derive_sizes(self)
         except OverflowError:
             raise ValueError(f"sizes d = n^alpha, m = r*n*ln n or d^k overflow at k={self.k} "
                              f"n={self.n} alpha={self.alpha} r={self.r}") from None
         return self
-
-    def __reduce__(self):
-        # the pickled fields were checked when they were built: a --jobs worker
-        # loads every instance's params without sizing them again
-        return self._make, (tuple(self),)
-
-
-def _check_seed(seed: int) -> None:
-    if not 0 <= seed <= MASK64:
-        raise ValueError("seed must fit in 64 bits")
-
-
-def with_seed(params: RbParams, seed: int) -> RbParams:
-    """params._replace(seed=seed), checking only the new seed: the other
-    fields passed their range checks and derive_sizes when params was built,
-    and the seed enters neither."""
-    _check_seed(seed)
-    return params._replace(seed=seed)
 
 
 class DerivedSizes(NamedTuple):

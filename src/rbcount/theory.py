@@ -18,7 +18,7 @@ PREDICT_YES = "YES"
 PREDICT_NO = "NO"
 PREDICT_CRITICAL = "CRITICAL"
 
-DEFAULT_CRITICAL_BAND = 0.005
+CRITICAL_BAND = 0.005
 
 
 def _divisor_factor(divisor: float) -> float:
@@ -121,8 +121,8 @@ class Estimate(NamedTuple):
     The interval ((1-delta)*E, (1+delta)*E) is carried both linearly and in
     log space so it stays meaningful when E overflows a float.  ``predicted``
     is YES/NO according to the side of the critical tightness the parameter
-    point sits on, or CRITICAL inside the configured band around it, where
-    the interval guarantee breaks down.
+    point sits on, or CRITICAL within CRITICAL_BAND of it, where the interval
+    guarantee breaks down.
     """
 
     log_expected: float
@@ -132,28 +132,24 @@ class Estimate(NamedTuple):
     interval_high: float
     log_interval_low: float
     log_interval_high: float
-    divisor: float
     predicted: str
 
 
-def ae_count(params: RbParams, delta: float, divisor: float = 2,
-             critical_band: float = DEFAULT_CRITICAL_BAND) -> Estimate:
+def ae_count(params: RbParams, delta: float, divisor: float = 2) -> Estimate:
     """Estimate the solution count of a random instance at ``params``.
 
     Returns the distribution mean E at the effective tightness together with
     the interval ((1-delta)*E, (1+delta)*E).  Away from the critical
     tightness the exact count concentrates in this interval as n grows; the
-    CRITICAL prediction flags the band |p_eff - p_cr| <= critical_band where
+    CRITICAL prediction flags the band |p_eff - p_cr| <= CRITICAL_BAND where
     no such guarantee holds.
     """
     if not 0.0 < delta <= 1.0:
         raise ValueError(f"delta must lie in (0, 1], got {delta}")
-    if not critical_band >= 0:  # NaN too: it would never flag CRITICAL
-        raise ValueError(f"critical_band must be >= 0, got {critical_band}")
     sizes = derive_sizes(params)
     log_e, linear = expected_count(params.n, sizes.d, sizes.m, sizes.p_eff)
     p_cr = critical_tightness(params.alpha, params.r, divisor)
-    if abs(sizes.p_eff - p_cr) <= critical_band:
+    if abs(sizes.p_eff - p_cr) <= CRITICAL_BAND:
         predicted = PREDICT_CRITICAL
     elif sizes.p_eff < p_cr:
         predicted = PREDICT_YES
@@ -170,7 +166,6 @@ def ae_count(params: RbParams, delta: float, divisor: float = 2,
         interval_high=high,
         log_interval_low=log_low,
         log_interval_high=log_e + math.log1p(delta),
-        divisor=divisor,
         predicted=predicted,
     )
 

@@ -333,6 +333,18 @@ def test_accuracy_rejects_bad_deltas(capsys):
     assert err.splitlines() == ["rbcount accuracy: error: empty delta list"]
 
 
+def test_accuracy_refuses_a_repeated_delta(tmp_path, capsys):
+    # both would write a column named coverage_delta_0.5
+    argv = ["accuracy", "-k", "2", "-n", "6", "-a", "0.8", "-r", "1.5", "-p", "0.25",
+            "--instances", "8", "--deltas", "0.5,0.50,0.9"]
+    code, out, err = run(argv, capsys)
+    assert code == 1 and out == ""
+    assert err.splitlines() == ["rbcount accuracy: error: repeated delta 0.5"]
+    csv_path = tmp_path / "acc.csv"
+    assert run(argv + ["-o", str(csv_path)], capsys)[0] == 1
+    assert not csv_path.exists()
+
+
 def test_compare_csv(capsys):
     code, out, _ = run(["compare", "-k", "2", "-n", "5", "-a", "0.8", "-r", "1.5",
                         "-p", "0.2", "--instances", "10"], capsys)
@@ -402,14 +414,11 @@ def test_bad_run_config_exits_2_before_any_progress(argv, message, capsys):
     assert err.splitlines() == ["rbcount: error: " + message]
 
 
-@pytest.mark.parametrize("band", ["nan", "-0.1"])
-def test_estimate_rejects_a_nan_or_negative_band(band, capsys):
+def test_estimate_has_no_band_option(capsys):
     argv = ["estimate", "-k", "2", "-n", "7", "-a", "0.8", "-r", "1.7", "-p", "0.2"]
-    code, out, _ = run(argv + ["--band", "inf"], capsys)
-    assert code == 0 and "prediction CRITICAL" in out
-    code, out, err = run(argv + ["--band", band], capsys)
-    assert code == 2 and out == ""
-    assert err.splitlines() == [f"rbcount: error: critical_band must be >= 0, got {float(band)}"]
+    code, out, err = run(argv + ["--band", "0.1"], capsys)
+    assert code == 1 and out == ""
+    assert err.splitlines() == ["rbcount: error: unrecognized arguments: --band 0.1"]
 
 
 def test_usage_errors_exit_1(capsys):
@@ -453,7 +462,7 @@ OPTIONS = {
     "gen": PARAMS + [("--seed", 0), ("-o --output", "-")],
     "count": [("instance", None)],
     "decide": [("instance", None), ("--divisor", 2), ("--exit-code", False)],
-    "estimate": PARAMS + [("--delta", 0.9), ("--divisor", 2), ("--band", 0.005)],
+    "estimate": PARAMS + [("--delta", 0.9), ("--divisor", 2)],
     "encode": [("instance", None), ("-o --output", "-")],
     "sweep": PARAMS + [("--vary", "p"), ("--start", None), ("--stop", None),
                        ("--step", None), ("--divisor", 2), ("--instances", 100)]

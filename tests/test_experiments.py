@@ -8,6 +8,8 @@ import io
 import math
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from rbcount import experiments
 from rbcount.exact_count import count_backtrack, count_brute, decide_from_count
@@ -18,7 +20,7 @@ from rbcount.experiments import (COMPARISON_HEADER, CSV_HEADER, MAX_GRID_POINTS,
                                  estimator_comparison, grid_values,
                                  instance_seed, sweep_header, sweep_manifest,
                                  sweep_tightness, write_manifest)
-from rbcount.rb_model import RbParams, derive_sizes, generate
+from rbcount.rb_model import MASK64, RbParams, derive_sizes, generate
 from rbcount.theory import critical_density, expected_count, second_moment_ratio
 
 TINY = SweepConfig(RbParams(k=2, n=5, alpha=0.8, r=1.5, p=0.1), grid_stop=0.5,
@@ -102,6 +104,13 @@ def test_sweep_rows_match_by_hand_recount():
     assert row.median_count_log == pytest.approx(
         math.log((ordered[9] + ordered[10]) / 2.0), rel=1e-12)
     assert row.mean_nodes == sum(nodes) / len(nodes)
+
+
+@given(base_seed=st.integers(0, MASK64), point_index=st.integers(0),
+       instance_index=st.integers(0))
+def test_instance_seed_is_always_a_valid_seed(base_seed, point_index, instance_index):
+    # the sweep sets it with _replace, which does not check it
+    assert 0 <= instance_seed(base_seed, point_index, instance_index) <= MASK64
 
 
 def test_sweep_is_deterministic_apart_from_timing():

@@ -18,7 +18,7 @@ from rbcount import rb_model
 from rbcount.rb_model import (DEFAULT_BRUTE_CAP, LANE_CAP, MASK64, CapExceeded, Constraint,
                               DerivedSizes, Instance, InstanceFormatError, RbParams,
                               _lane_words, _take, derive_sizes, generate, mix64,
-                              read_instance, round_half_up, with_seed, write_instance)
+                              read_instance, round_half_up, write_instance)
 from rbcount.theory import theorem_applicability
 
 from oracles import allows, int_digit_limit, params_for
@@ -89,19 +89,19 @@ def test_params_accept_huge_sizes_in_the_float_range():
     assert sizes.d == round_half_up(5 ** 200.0) and sizes.t_nogoods > 10 ** 278
 
 
-def test_with_seed_equals_replace_and_checks_only_the_seed(monkeypatch):
-    # The sweep's instances are seeded through it, and the pool pickles them.
+def test_unpickling_checks_the_fields_and_replace_does_not():
+    # A sweep seeds its instances with _replace, and a --jobs worker unpickles them.
     point = RbParams(2, 7, 0.8, 1.7, 0.21, seed=12345)
-    expected = [RbParams(*point[:-1], seed=seed) for seed in (0, MASK64)]
-    monkeypatch.setattr(rb_model, "derive_sizes", None)  # the copy does not size it
-    for seed, want in zip((0, MASK64), expected):
-        copy = with_seed(point, seed)
-        assert copy == want and hash(copy) == hash(want) and copy.seed == seed
-        assert pickle.loads(pickle.dumps(copy)) == want
-    assert point.seed == 12345
-    for seed in (-1, MASK64 + 1):
-        with pytest.raises(ValueError, match="^seed must fit in 64 bits$"):
-            with_seed(point, seed)
+    for seed in (0, MASK64):
+        copy = point._replace(seed=seed)
+        want = RbParams(*point[:-1], seed=seed)
+        assert copy == want and hash(copy) == hash(want)
+        loaded = pickle.loads(pickle.dumps(copy))
+        assert loaded == want and type(loaded) is RbParams
+    unchecked = point._replace(seed=-1)
+    assert unchecked.seed == -1
+    with pytest.raises(ValueError, match="^seed must fit in 64 bits$"):
+        pickle.loads(pickle.dumps(unchecked))
 
 
 def test_effective_tightness_reflects_rounding():

@@ -143,23 +143,8 @@ def test_ae_count_infinite_divisor_predicts_against_satisfiability():
     params = RbParams(2, 13, 0.8, 1.7, 0.3)
     assert ae_count(params, delta=0.9).predicted == PREDICT_NO
     est = ae_count(params, delta=0.9, divisor=math.inf)
-    assert est.divisor == math.inf
     # p_eff = 19/64 lies below 1 - exp(-0.8/1.7) = 0.375
     assert est.predicted == PREDICT_YES
-
-
-def test_ae_count_band_is_configurable():
-    params = RbParams(2, 13, 0.8, 1.7, 0.19)
-    wide = ae_count(params, delta=0.9, critical_band=0.2)
-    assert wide.predicted == PREDICT_CRITICAL
-    narrow = ae_count(params, delta=0.9, critical_band=0.0001)
-    assert narrow.predicted in (PREDICT_YES, PREDICT_NO)
-
-
-@pytest.mark.parametrize("band", [-0.1, math.nan])
-def test_ae_count_rejects_a_negative_or_nan_band(band):
-    with pytest.raises(ValueError, match="critical_band must be >= 0"):
-        ae_count(RbParams(2, 13, 0.8, 1.7, 0.19), delta=0.9, critical_band=band)
 
 
 def test_ae_count_interval_shape():
