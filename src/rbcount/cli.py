@@ -204,9 +204,10 @@ def _parse_deltas(text: str) -> list[float]:
         raise UsageError(f"rbcount accuracy: error: bad delta list {text!r}") from None
     if not deltas:
         raise UsageError("rbcount accuracy: error: empty delta list")
-    repeats = [delta for i, delta in enumerate(deltas) if delta in deltas[:i]]
-    if repeats:  # two CSV columns of one name, of which a reader keeps one
-        raise UsageError(f"rbcount accuracy: error: repeated delta {repeats[0]!r}")
+    try:
+        accuracy_header(deltas)  # refuses a repeat before anything is counted
+    except ValueError as exc:
+        raise UsageError(f"rbcount accuracy: error: {exc}") from None
     return deltas
 
 
@@ -277,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--start", type=float, required=True)
     sub.add_argument("--stop", type=float, required=True)
     sub.add_argument("--step", type=float, required=True)
-    sub.add_argument("--divisor", type=int, default=2)
+    sub.add_argument("--divisor", type=int, default=2, help="threshold divisor")
     _batch_args(sub, instances=100)
     sub.add_argument("--svg", default=None, help="also write an SVG plot here")
     sub.add_argument("--manifest", default=None, help="also write a manifest here")

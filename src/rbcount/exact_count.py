@@ -94,12 +94,12 @@ def count_backtrack(instance: Instance) -> CountResult:
     does not recurse, and it keeps only the current and the next depth.
 
     At each depth, the keys are grouped on the field being branched and the
-    fields its wide tables read.  A group's moves - one AND-mask per value,
-    values with equal masks merged into one weighted move - are built once,
-    so a key then costs one AND, its final fields' popcounts and one dict
-    add per move.  A child may have an empty field or 0 ways; the next depth
-    drops it when it reads the key, once per key rather than once per move.
-    The last depth builds no keys: it adds up each key's value.
+    fields its wide tables read.  A group's moves - one AND-mask per live
+    value - are built once, so a key then costs one AND, its final fields'
+    popcounts and one dict add per move, which also sums the ways of values
+    whose masks agree.  A child may have an empty field or 0 ways; the next
+    depth drops it when it reads the key, once per key rather than once per
+    move.  The last depth builds no keys: it adds up each key's value.
 
     nodes_visited is the number of value assignments tried plus one for the
     root; memo_states is the number of distinct keys held across the depths,
@@ -219,8 +219,7 @@ def count_backtrack(instance: Instance) -> CountResult:
         for f in fin:
             keep |= full << f
         # choice[v]: the AND-mask for giving depth j the value v; it narrows
-        # field j to one bit and applies cut[j][v].  Values whose masks agree
-        # on the kept fields merge into one move weighted by their number.
+        # field j to one bit and applies cut[j][v].
         choice = [keep & (ones & ~(full << shift | c) | 1 << shift + v)
                   for v, c in enumerate(cut[j])]
         # The wide tables firing here clear only deeper fields, so they apply
@@ -233,7 +232,7 @@ def count_backtrack(instance: Instance) -> CountResult:
             field = g & full
             nodes += field.bit_count() * len(group)
             sources = g & union & ~full
-            shared: dict[int, int] = {}
+            moves = []
             rest = field
             while rest:
                 bit = rest & -rest
@@ -248,8 +247,7 @@ def count_backtrack(instance: Instance) -> CountResult:
                             m &= table.get(u & proj, ones)
                         wide[u] = m
                     mask &= m
-                shared[mask] = shared.get(mask, 0) + 1
-            moves = list(shared.items())
+                moves.append(mask)
             # After that, a key costs one AND per move, the final fields'
             # popcounts and, before the last depth, one dict add.
             if nxt == n:
@@ -259,30 +257,31 @@ def count_backtrack(instance: Instance) -> CountResult:
                 # only the value is left.
                 for key, ways_in in group:
                     sub = 0
-                    for mask, w in moves:
+                    for mask in moves:
                         s = key & mask
+                        w = 1
                         for f in fin:
                             w *= (s >> f & full).bit_count()
                         sub += w
                     total += ways_in * sub
             elif not fin:
                 for key, ways_in in group:
-                    for mask, w in moves:
+                    for mask in moves:
                         s = key & mask
-                        out[s] = out.get(s, 0) + ways_in * w
+                        out[s] = out.get(s, 0) + ways_in
             elif len(fin) == 1:  # the common case, without the loop over fin
                 f = fin[0]
                 for key, ways_in in group:
-                    for mask, w in moves:
+                    for mask in moves:
                         s = key & mask
-                        ways = ways_in * w * (s >> f & full).bit_count()
+                        ways = ways_in * (s >> f & full).bit_count()
                         s &= next_mask
                         out[s] = out.get(s, 0) + ways
             else:
                 for key, ways_in in group:
-                    for mask, w in moves:
+                    for mask in moves:
                         s = key & mask
-                        ways = ways_in * w
+                        ways = ways_in
                         for f in fin:
                             ways *= (s >> f & full).bit_count()
                         s &= next_mask
@@ -325,10 +324,6 @@ def int_nth_root(x: int, t: int) -> int:
         if ng >= g:
             break
         g = ng
-    while g ** t > x:
-        g -= 1
-    while (g + 1) ** t <= x:
-        g += 1
     return g
 
 

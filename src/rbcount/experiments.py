@@ -28,8 +28,6 @@ MAX_GRID_POINTS = 10 ** 5
 
 _CHUNK = 4  # instances a pool worker counts per task
 
-CSV_HEADER = "p,p_eff,yes_fraction,mean_count_log,median_count_log,mean_nodes,wall_ms"
-
 
 class _SweepFields(NamedTuple):
     base: RbParams
@@ -89,9 +87,9 @@ class SweepRow(NamedTuple):
     wall_ms: float
 
 
-def sweep_header(vary: str) -> list[str]:
-    """Sweep CSV columns, the first named after the swept axis."""
-    return [vary] + CSV_HEADER.split(",")[1:]
+def sweep_header(vary: str) -> tuple[str, ...]:
+    """Sweep CSV columns: SweepRow's fields, the first named after the swept axis."""
+    return (vary,) + SweepRow._fields[1:]
 
 
 def grid_values(start: float, stop: float, step: float) -> list[float]:
@@ -226,14 +224,6 @@ def crossing_point(rows: Sequence[SweepRow]) -> float | None:
 # ---------------------------------------------------------------------------
 
 
-TABLE_HEADER = ("k", "n", "alpha", "r", "p", "p_eff", "instances")
-COMPARISON_HEADER = TABLE_HEADER + ("mean_count", "mean_count_log", "expected", "log_expected")
-
-
-def accuracy_header(deltas: Sequence[float]) -> tuple[str, ...]:
-    return TABLE_HEADER + tuple(f"coverage_delta_{_fmt(d)}" for d in deltas)
-
-
 class _TableRow(NamedTuple):
     """A table row's leading cells: the point and its instance count."""
 
@@ -253,6 +243,15 @@ def _table_point(point: RbParams, instances: int, jobs: int) -> tuple:
     lead = _TableRow(point.k, point.n, point.alpha, point.r, point.p, sizes.p_eff, instances)
     return (lead, expected_count(point.n, sizes.d, sizes.m, sizes.p_eff),
             [res.count for res in results])
+
+
+def accuracy_header(deltas: Sequence[float]) -> tuple[str, ...]:
+    """Accuracy CSV columns: _TableRow's fields, then a coverage column per
+    delta; a repeated delta, which would name two alike, raises ValueError."""
+    for i, delta in enumerate(deltas):
+        if delta in deltas[:i]:
+            raise ValueError(f"repeated delta {delta!r}")
+    return _TableRow._fields + tuple(f"coverage_delta_{_fmt(d)}" for d in deltas)
 
 
 class AccuracyRow(NamedTuple):
@@ -279,6 +278,9 @@ class ComparisonRow(NamedTuple):
     mean_count_log: float
     expected: float         # closed-form mean at the effective tightness
     log_expected: float
+
+
+COMPARISON_HEADER = _TableRow._fields + ComparisonRow._fields[1:]
 
 
 def estimator_comparison(point: RbParams, *, instances: int = 300, jobs: int = 1) -> ComparisonRow:

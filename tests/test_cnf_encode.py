@@ -159,6 +159,11 @@ def test_read_dimacs_rejects_malformed(text):
         read_dimacs(io.StringIO(text))
 
 
+def test_read_dimacs_names_the_line_of_a_clause_before_the_problem_line():
+    with pytest.raises(DimacsError, match=r"^line 2: clause before problem line$"):
+        read_dimacs(io.StringIO("c comment\n1 -2 0\np cnf 2 1\n"))
+
+
 @pytest.mark.parametrize("template,message", [
     ("p cnf {big} 1\n1 0\n", "line 1: malformed problem line: integer '{prefix}'... "
                              "has too many digits ({digits})"),

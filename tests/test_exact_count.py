@@ -346,6 +346,18 @@ def test_decide_rejects_bad_divisor():
         decide_from_count(10, 2, 4, math.inf)
 
 
+@pytest.mark.parametrize("call,message", [
+    (lambda: decide_from_count(-1, 2, 4), "count must be >= 0"),
+    (lambda: int_nth_root(-1, 2), "need x >= 0 and t >= 1"),
+    (lambda: int_nth_root(8, 0), "need x >= 0 and t >= 1"),
+    (lambda: threshold_ceiling(1, 4), "need d >= 2 and n >= 1"),
+    (lambda: threshold_ceiling(2, 0), "need d >= 2 and n >= 1"),
+], ids=["count", "root-x", "root-t", "ceiling-d", "ceiling-n"])
+def test_integer_helpers_name_their_bad_input(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
+
+
 def test_a_huge_divisor_is_decided_exactly_and_at_once():
     # count ** divisor and Newton steps on a 10**20-th root would never finish
     huge = 10 ** 20

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from rbcount import experiments
 from rbcount.exact_count import count_backtrack, count_brute, decide_from_count
-from rbcount.experiments import (COMPARISON_HEADER, CSV_HEADER, MAX_GRID_POINTS, AccuracyRow,
+from rbcount.experiments import (COMPARISON_HEADER, MAX_GRID_POINTS, AccuracyRow,
                                  SweepConfig, SweepRow, _TableRow,
                                  accuracy_header, accuracy_table,
                                  crossing_point, emit_csv, emit_svg_plot,
@@ -324,9 +324,8 @@ def test_csv_header_and_round_trip():
     out = io.StringIO()
     emit_csv(sweep_header("p"), rows, out)
     lines = out.getvalue().splitlines()
-    assert lines[0] == CSV_HEADER
-    assert CSV_HEADER == ("p,p_eff,yes_fraction,mean_count_log,"
-                          "median_count_log,mean_nodes,wall_ms")
+    assert lines[0] == ("p,p_eff,yes_fraction,mean_count_log,"
+                        "median_count_log,mean_nodes,wall_ms")
     parsed = list(csv.DictReader(io.StringIO(out.getvalue())))
     assert len(parsed) == len(rows)
     for rec, row in zip(parsed, rows):
@@ -348,6 +347,13 @@ def test_accuracy_csv_shape():
     assert header.startswith("k,n,alpha,r,p,p_eff,instances,coverage_delta_")
     assert body.split(",")[:2] == ["2", "5"]
     assert body.split(",")[-2:] == ["0.5", "0.75"]
+
+
+def test_accuracy_header_refuses_a_repeated_delta():
+    assert ",".join(accuracy_header([0.5, 0.9])) == (
+        "k,n,alpha,r,p,p_eff,instances,coverage_delta_0.5,coverage_delta_0.9")
+    with pytest.raises(ValueError, match=r"^repeated delta 0\.5$"):
+        accuracy_header([0.5, 0.9, 0.5])
 
 
 def test_comparison_csv_shape():

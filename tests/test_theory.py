@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import re
 
 import pytest
 
@@ -118,9 +119,11 @@ def test_threshold_ceiling_known_values(d, n, expect):
 
 def test_int_nth_root_random():
     rng = random.Random(7)
+    cases = [(x, t) for t in range(1, 6) for x in range(1 << 10)]
     for _ in range(500):
         t = rng.randint(1, 9)
-        x = rng.getrandbits(rng.randint(1, 200))
+        cases.append((rng.getrandbits(rng.randint(1, 200)), t))
+    for x, t in cases:
         root = int_nth_root(x, t)
         assert root ** t <= x
         assert (root + 1) ** t > x
@@ -316,6 +319,21 @@ def test_h_maximised_at_zero_in_the_estimable_region():
         values = [h_eval(s, 25, k, alpha, r, p) for s in grid]
         best = max(range(len(grid)), key=lambda i: values[i])
         assert best == 0, (k, alpha, r, p, grid[best])
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: critical_density(0.0, 0.2, 2), "alpha must be positive"),
+    (lambda: pair_probabilities(3, 6, 2, 4, 1.0), "p_eff must lie in [0, 1)"),
+    (lambda: conditional_expected_count(0, 2, 4, 3, 0.2),
+     "need n >= 1, d >= 2, m >= 0, 2 <= k <= n"),
+    (lambda: conditional_expected_count(6, 2, 4, 3, 1.0), "p_eff must lie in [0, 1)"),
+    (lambda: h_eval(0.5, 1, 2, 0.8, 1.7, 0.2), "need n >= 2 and k >= 2"),
+    (lambda: h_eval(0.5, 10, 2, 0.8, 0.0, 0.2), "alpha and r must be positive"),
+], ids=["density-alpha", "pair-p_eff", "conditional-sizes", "conditional-p_eff",
+        "h-sizes", "h-r"])
+def test_closed_forms_name_their_bad_input(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
 
 
 def test_h_validation():
