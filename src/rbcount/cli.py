@@ -19,8 +19,7 @@ from .experiments import (COMPARISON_HEADER, SweepConfig, accuracy_header, accur
                           critical_value, crossing_point, emit_csv, emit_svg_plot,
                           estimator_comparison, sweep_header, sweep_manifest,
                           sweep_tightness, write_manifest)
-from .rb_model import (CapExceeded, RbParams, derive_sizes, generate, read_instance,
-                       write_instance)
+from .rb_model import RbParams, derive_sizes, generate, read_instance, write_instance
 from .theory import ae_count, critical_density, critical_tightness, theorem_applicability
 
 
@@ -313,7 +312,8 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(exc, file=sys.stderr)
         return 1
-    except (CapExceeded, ValueError, OSError, OverflowError, MemoryError) as exc:
+    # RuntimeError takes in CapExceeded and a process pool whose worker died
+    except (RuntimeError, ValueError, OSError, OverflowError, MemoryError) as exc:
         print(f"rbcount: error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
 

@@ -10,8 +10,8 @@ variable order, walked one depth at a time.  Each depth holds its distinct
 search keys - the domains of the variables still in play - with the number
 of ways of reaching each, so states with equal keys are expanded once (the
 component-caching idea of #SAT solvers such as Cachet and sharpSAT, walked
-breadth first as a BDD/ZDD is built).  Keys that agree on the fields a
-depth's moves read form a group, and each group's moves are built once.
+breadth first as a BDD/ZDD is built).  Each key is expanded as its depth
+reads it, with moves cached for the depth on the fields they read.
 ``count_brute`` enumerates the full assignment space; it is the oracle that
 the tests and the benchmark's checks hold ``count_backtrack`` to.
 """
@@ -78,10 +78,10 @@ def count_backtrack(instance: Instance) -> CountResult:
     than check_cap's cap of bits is refused before anything is built.
 
     The field of depth t sits at bits (n-1-t)*d, so the fields a depth still
-    holds are the low bits of its keys, and the group and wide-table keys are
-    shifted down to put the branched field at bit 0.  A small int hashes to
-    itself and a dict takes its first slot from the hash's low bits, so keys
-    that agreed there would all walk one probe chain.
+    holds are the low bits of its keys, and the move and wide-table caches
+    are keyed on fields shifted down to put the branched field at bit 0.  A
+    small int hashes to itself and a dict takes its first slot from the
+    hash's low bits, so keys that agreed there would all walk one probe chain.
 
     A variable whose neighbours are all assigned is never branched on: its
     field can no longer change, so it contributes its popcount as a factor.
@@ -93,13 +93,14 @@ def count_backtrack(instance: Instance) -> CountResult:
     the number of ways of reaching it, as #SAT component caching does.  It
     does not recurse, and it keeps only the current and the next depth.
 
-    At each depth, the keys are grouped on the field being branched and the
-    fields its wide tables read.  A group's moves - one AND-mask per live
-    value - are built once, so a key then costs one AND, its final fields'
-    popcounts and one dict add per move, which also sums the ways of values
-    whose masks agree.  A child may have an empty field or 0 ways; the next
-    depth drops it when it reads the key, once per key rather than once per
-    move.  The last depth builds no keys: it adds up each key's value.
+    Each depth reads its keys once and expands each key as it reads it.  A
+    key's moves - one AND-mask per live value - depend only on the field
+    being branched and the fields its wide tables read, so they are cached
+    for the depth on those fields; a key then costs one AND, its final
+    fields' popcounts and one dict add per move, which also sums the ways of
+    values whose masks agree.  A child may have an empty field or 0 ways; the
+    next depth drops it when it reads the key, once per key rather than once
+    per move.  The last depth builds no keys: it adds up each key's value.
 
     nodes_visited is the number of value assignments tried plus one for the
     root; memo_states is the number of distinct keys held across the depths,
@@ -201,17 +202,9 @@ def count_backtrack(instance: Instance) -> CountResult:
         for proj, _ in checks:
             union |= proj
         # Keys that agree on field j and on the fields the wide tables read
-        # make the same moves, so each group's moves are built once.  A group
-        # is keyed on them shifted down to put field j at bit 0.
-        groups: dict[int, list[tuple[int, int]]] = {}
+        # make the same moves, so a key's moves are cached for the depth on
+        # those fields, shifted down to put field j at bit 0.
         read = full | union
-        for key, ways in layer.items():
-            if ways and not (key - live_low) & ~key & live_high:
-                groups.setdefault(key >> shift & read, []).append((key, ways))
-                states += 1
-        layer.clear()  # the groups hold its entries now
-        if not groups:
-            break
         next_mask = key_mask[nxt] if nxt < n else 0
         # A move keeps the fields of the next key and the final fields, whose
         # popcounts are taken before the next key drops them.
@@ -226,67 +219,72 @@ def count_backtrack(instance: Instance) -> CountResult:
         # in any order, as one mask keyed on the fields they all read, cached
         # for the depth.
         wide: dict[int, int] = {}
+        moves_of: dict[int, list[int]] = {}
         out: dict[int, int] = {}
-        while groups:
-            g, group = groups.popitem()  # freed as the next depth's keys grow
-            field = g & full
-            nodes += field.bit_count() * len(group)
-            sources = g & union & ~full
-            moves = []
-            rest = field
-            while rest:
-                bit = rest & -rest
-                rest ^= bit
-                mask = choice[bit.bit_length() - 1]
-                if checks:
-                    u = sources | bit
-                    m = wide.get(u)
-                    if m is None:
-                        m = ones
-                        for proj, table in checks:
-                            m &= table.get(u & proj, ones)
-                        wide[u] = m
-                    mask &= m
-                moves.append(mask)
+        last = nxt == n
+        only = fin[0] if len(fin) == 1 else None
+        for key, ways_in in layer.items():
+            if not ways_in or (key - live_low) & ~key & live_high:
+                continue
+            states += 1
+            fields = key >> shift & read
+            moves = moves_of.get(fields)
+            if moves is None:
+                sources = fields & union & ~full
+                moves = []
+                rest = fields & full
+                while rest:
+                    bit = rest & -rest
+                    rest ^= bit
+                    mask = choice[bit.bit_length() - 1]
+                    if checks:
+                        u = sources | bit
+                        m = wide.get(u)
+                        if m is None:
+                            m = ones
+                            for proj, table in checks:
+                                m &= table.get(u & proj, ones)
+                            wide[u] = m
+                        mask &= m
+                    moves.append(mask)
+                moves_of[fields] = moves
+            nodes += len(moves)
             # After that, a key costs one AND per move, the final fields'
             # popcounts and, before the last depth, one dict add.
-            if nxt == n:
+            if last:
                 # At the last depth a key holds field j, the wide tables'
                 # sources and the final fields, so the popcounts' product is 0
                 # exactly when a move empties a field: no key is built, and
                 # only the value is left.
-                for key, ways_in in group:
-                    sub = 0
-                    for mask in moves:
-                        s = key & mask
-                        w = 1
-                        for f in fin:
-                            w *= (s >> f & full).bit_count()
-                        sub += w
-                    total += ways_in * sub
+                sub = 0
+                for mask in moves:
+                    s = key & mask
+                    w = 1
+                    for f in fin:
+                        w *= (s >> f & full).bit_count()
+                    sub += w
+                total += ways_in * sub
             elif not fin:
-                for key, ways_in in group:
-                    for mask in moves:
-                        s = key & mask
-                        out[s] = out.get(s, 0) + ways_in
-            elif len(fin) == 1:  # the common case, without the loop over fin
-                f = fin[0]
-                for key, ways_in in group:
-                    for mask in moves:
-                        s = key & mask
-                        ways = ways_in * (s >> f & full).bit_count()
-                        s &= next_mask
-                        out[s] = out.get(s, 0) + ways
+                for mask in moves:
+                    s = key & mask
+                    out[s] = out.get(s, 0) + ways_in
+            elif only is not None:  # the common case, without the loop over fin
+                for mask in moves:
+                    s = key & mask
+                    ways = ways_in * (s >> only & full).bit_count()
+                    s &= next_mask
+                    out[s] = out.get(s, 0) + ways
             else:
-                for key, ways_in in group:
-                    for mask in moves:
-                        s = key & mask
-                        ways = ways_in
-                        for f in fin:
-                            ways *= (s >> f & full).bit_count()
-                        s &= next_mask
-                        out[s] = out.get(s, 0) + ways
+                for mask in moves:
+                    s = key & mask
+                    ways = ways_in
+                    for f in fin:
+                        ways *= (s >> f & full).bit_count()
+                    s &= next_mask
+                    out[s] = out.get(s, 0) + ways
         layer = out
+        if not layer:
+            break
     isolated = last_nb.count(-1)
     return CountResult(count=d ** isolated * total, nodes_visited=nodes, memo_states=states)
 

@@ -1,16 +1,20 @@
-"""End-to-end command-line checks, run in process through main()."""
+"""End-to-end command-line checks, run in process through main(); one test runs
+the module entry point in a subprocess."""
 
 from __future__ import annotations
 
 import argparse
+import concurrent.futures
 import io
+import os
 import pathlib
+import subprocess
 import sys
 import time
 
 import pytest
 
-from rbcount import cli
+from rbcount import cli, experiments
 from rbcount.cli import build_parser, main
 from rbcount.cnf_encode import read_dimacs
 from rbcount.experiments import sweep_header
@@ -448,6 +452,51 @@ def test_runtime_errors_exit_2(tmp_path, capsys):
     code, _, err = run(["gen", "-k", "2", "-n", "1", "-a", "0.8", "-r", "1.5",
                         "-p", "0.3"], capsys)  # n < k is a parameter error
     assert code == 2
+
+
+class BrokenExecutor:
+    """Stands in for a process pool whose worker died, as an OOM-killed one does."""
+
+    def __init__(self, max_workers):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, iterable, chunksize=1):
+        raise concurrent.futures.process.BrokenProcessPool("a worker died")
+
+
+def test_a_dead_pool_worker_exits_2(capsys, monkeypatch):
+    # No real process starts: the fake pool fails as a real one does when a
+    # worker exits abruptly.
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", BrokenExecutor)
+    monkeypatch.setattr(experiments.os, "cpu_count", lambda: 2)
+    code, out, err = run(SWEEP_SMALL + ["--instances", "8", "--jobs", "2"], capsys)
+    assert code == 2 and out == ""
+    assert err.splitlines() == ["rbcount: error: a worker died"]
+
+
+def test_module_entry_point_needs_no_locale_encoding(tmp_path, capsys):
+    # python -m rbcount.cli, with every text file opened without an explicit
+    # encoding turned into an error
+    env = {**os.environ, "PYTHONPATH": str(pathlib.Path(cli.__file__).parents[1])}
+    inst, cnf = tmp_path / "a.rbcsp", tmp_path / "a.cnf"
+    sweep = [tmp_path / name for name in ("s.csv", "s.svg", "s.json")]
+    outs = []
+    for argv in (GEN + ["-o", inst], ["count", inst], ["encode", inst, "-o", cnf],
+                 SWEEP_SMALL + ["-o", sweep[0], "--svg", sweep[1], "--manifest", sweep[2]]):
+        proc = subprocess.run([sys.executable, "-X", "warn_default_encoding",
+                               "-W", "error::EncodingWarning", "-m", "rbcount.cli",
+                               *map(str, argv)],
+                              capture_output=True, text=True, env=env, cwd=tmp_path, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        outs.append(proc.stdout)
+    assert all(path.stat().st_size > 0 for path in [cnf, *sweep])
+    assert outs[1] == run(["count", str(inst)], capsys)[1]
 
 
 def test_help_and_version_exit_0(capsys):

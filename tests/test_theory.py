@@ -232,6 +232,16 @@ def test_conditional_expected_count_no_constraints_is_whole_space():
     assert conditional_expected_count(5, 2, 3, 4, 0.0) == 5 * math.log(3)
 
 
+@pytest.mark.parametrize("n,k,d", [(3, 2, 2), (5, 2, 4), (6, 3, 2)])
+def test_conditional_expected_count_with_one_allowed_tuple(n, k, d):
+    # One constraint allowing one tuple: the assignments that agree with the
+    # fixed one on its scope, d^(n-k) of them.  Terms whose scope misses the
+    # agreement set have probability exactly 0 here, as d^k is a power of two,
+    # and are skipped rather than logged.
+    assert abs(conditional_expected_count(n, k, d, 1, 1 - d ** -k)
+               - (n - k) * math.log(d)) <= 1e-12
+
+
 def test_conditional_expected_count_monte_carlo():
     # average exact count among instances that a fixed assignment satisfies
     n, k, d, m, t = 4, 2, 3, 3, 1
